@@ -60,9 +60,9 @@ int main() {
     kernel_matvec(kernel, tree.points(), x, ax);
 
     // Parallelism model: in Sequential mode the per-level elimination is one
-    // serial chain, so the modeled parallel time is (roughly) the serial
-    // elimination plus parallelizable setup; for the Parallel mode every
-    // phase scales.
+    // serial chain — recorded as such in the DAG the model replays, whose
+    // summed eliminate time is therefore a floor of the modeled parallel
+    // time; for the Parallel mode every phase scales.
     UlvDistModel model{&f.stats(), &a.structure()};
     double t64 = model.shared_memory_time(64);
     if (v.mode == UlvMode::Sequential) {

@@ -118,7 +118,7 @@ int main() {
                 uex.worker_counters[wi].stolen);
   std::printf("\n");
   std::printf("adjacent-level overlapping task pairs: %ld  (bulk-synchronous "
-              "phase loops would give 0)\n", overlap_pairs);
+              "shape would give 0)\n", overlap_pairs);
   if (overlap_pairs > 0) {
     const auto& ra = uex.records[example_a];
     const auto& rb = uex.records[example_b];

@@ -7,8 +7,8 @@
 ///   3. pipelined batches (independent solves running concurrently on a
 ///      shared pool — the h2::Solver::solve_batch path),
 ///
-/// each under BOTH solve executors (the bulk-synchronous PhaseLoops sweep
-/// vs the recorded-DAG TaskDag executor) and several worker counts. All
+/// each under BOTH DAG shapes (the free recorded DAG vs the bulk-synchronous
+/// shape with a barrier per level and phase) and several worker counts. All
 /// cells produce bitwise-identical solutions; only the schedule differs.
 /// Writes solve_throughput.csv and BENCH_SOLVE.json (the solve-side perf
 /// trajectory seed).
@@ -26,7 +26,7 @@ namespace {
 
 struct Cell {
   std::string mode;       // "latency" / "blocked" / "pipelined"
-  std::string executor;   // "loop" / "dag"
+  std::string executor;   // DAG shape: "dag" (free) / "bulk" (barriers)
   int workers;
   int n_solves;
   int nrhs_per_solve;
@@ -57,14 +57,13 @@ int main() {
   ho.max_rank = cfg.max_rank;
   const H2Matrix a(tree, kernel, ho);
 
-  // One factorization per solve executor; the factors themselves are
-  // bitwise identical (ulv_solve_dag_test), so every cell solves the same
-  // operator.
-  auto factor = [&](UlvExecutor solve_exec, ThreadPool* pool) {
+  // One factorization per shape; the factors themselves are bitwise
+  // identical (ulv_dag_test), so every cell solves the same operator.
+  auto factor = [&](UlvExecutor shape, ThreadPool* pool) {
     UlvOptions uo;
     uo.tol = cfg.tol;
     uo.max_rank = cfg.max_rank;
-    uo.solve_executor = solve_exec;
+    uo.executor = shape;
     uo.pool = pool;
     return std::make_unique<UlvFactorization>(a, uo);
   };
@@ -75,12 +74,12 @@ int main() {
   std::vector<Cell> cells;
   Matrix x_ref, x_block_ref;  // bitwise cross-checks across every cell
   bool diverged = false;
-  for (const UlvExecutor sexec :
+  for (const UlvExecutor shape :
        {UlvExecutor::PhaseLoops, UlvExecutor::TaskDag}) {
-    const char* ename = sexec == UlvExecutor::TaskDag ? "dag" : "loop";
+    const char* ename = shape == UlvExecutor::TaskDag ? "dag" : "bulk";
     for (const int workers : {1, 4}) {
       ThreadPool pool(workers);
-      const auto f = factor(sexec, &pool);
+      const auto f = factor(shape, &pool);
 
       // 1. Single-RHS latency, back to back.
       {
@@ -93,7 +92,7 @@ int main() {
         cells.push_back({"latency", ename, workers, reps, 1, t.seconds()});
         if (x_ref.empty()) x_ref = x;
         if (rel_error_fro(x, x_ref) != 0.0) {
-          std::printf("!! executor %s/%d diverged on nrhs=1\n", ename, workers);
+          std::printf("!! shape %s/%d diverged on nrhs=1\n", ename, workers);
           diverged = true;
         }
       }
@@ -110,8 +109,8 @@ int main() {
         }
       }
       // 3. Pipelined independent solves: whole solves run concurrently on
-      //    the pool's workers (each falls back to its inline sweep — the
-      //    h2::Solver::solve_batch / solve_async path).
+      //    the pool's workers (each runs its solve graph inline on its
+      //    worker — the h2::Solver::solve_batch / solve_async path).
       {
         std::vector<Matrix> xs(reps, b1);
         Timer t;
@@ -128,7 +127,7 @@ int main() {
     }
   }
 
-  Table t({"mode", "solve executor", "workers", "solves", "nrhs/solve",
+  Table t({"mode", "DAG shape", "workers", "solves", "nrhs/solve",
            "total (s)", "RHS/s"});
   for (const Cell& c : cells)
     t.add_row({c.mode, c.executor, std::to_string(c.workers),
@@ -158,7 +157,7 @@ int main() {
   js << "  ]\n}\n";
   std::printf("(JSON trajectory written to BENCH_SOLVE.json)\n");
   if (diverged) {
-    std::printf("FAILED: solve executors disagreed — see !! lines above\n");
+    std::printf("FAILED: DAG shapes disagreed — see !! lines above\n");
     return 1;
   }
   return 0;

@@ -61,11 +61,15 @@ int main() {
   const SolverOptions base = SolverOptions{}.with_tol(tol).with_leaf_size(leaf);
 
   std::vector<Row> rows;
+  // BLR and HODLR factor in fp64 only, whatever H2_PRECISION says.
   rows.push_back(run("BLR  (flat, indep. basis)", pts, kernel,
-                     SolverOptions(base).with_structure(SolverStructure::BLR)));
-  rows.push_back(
-      run("HODLR (hier., indep. basis)", pts, kernel,
-          SolverOptions(base).with_structure(SolverStructure::HODLR)));
+                     SolverOptions(base)
+                         .with_structure(SolverStructure::BLR)
+                         .with_precision(Precision::F64)));
+  rows.push_back(run("HODLR (hier., indep. basis)", pts, kernel,
+                     SolverOptions(base)
+                         .with_structure(SolverStructure::HODLR)
+                         .with_precision(Precision::F64)));
   // Depth-1 tree: the flat BLR^2 structure of paper Sec. II.B.
   rows.push_back(run("BLR2 (flat, shared basis)", pts, kernel,
                      SolverOptions(base)

@@ -42,7 +42,6 @@ UlvOptions SolverOptions::ulv_options() const {
   u.fillin_augmentation = fillin_augmentation;
   u.mode = mode;
   u.executor = executor;
-  u.solve_executor = solve_executor;
   u.schedule = schedule;
   u.priority = priority;
   u.n_workers = n_workers;
@@ -82,6 +81,11 @@ void SolverOptions::validate() const {
     throw std::invalid_argument(
         "SolverOptions: max_refine_iters must be >= 1 (got " +
         std::to_string(max_refine_iters) + ")");
+  if (precision == Precision::F32 && (structure == SolverStructure::BLR ||
+                                      structure == SolverStructure::HODLR))
+    throw std::invalid_argument(
+        "SolverOptions: Precision::F32 is supported for the H2/HSS "
+        "structures only; BLR and HODLR factor in fp64 (H2_PRECISION)");
   UlvOptions u = ulv_options();
   u.validate();  // tol, fill_tol_factor, n_workers checks live there
 }
@@ -100,9 +104,9 @@ struct Solver::Impl {
   std::unique_ptr<UlvFactorization> ulv;  // H2 / HSS
   std::unique_ptr<BlrMatrix> blr;
   std::unique_ptr<HodlrMatrix> hodlr;
-  /// The fp64 operator mixed-precision solves refine against, retained only
-  /// under Precision::F32 (for BLR/HODLR it is built specifically for the
-  /// residual matvec — the Kernel does not outlive build()).
+  /// The fp64 operator mixed-precision solves refine against: the H2Matrix
+  /// the fp32 factorization was built from, retained only under
+  /// Precision::F32.
   std::unique_ptr<H2Matrix> op;
   /// Most recent refinement outcome (see Solver::last_refine). Mutable
   /// because the Impl is shared immutably; solves may race on it.
@@ -155,31 +159,13 @@ Solver Solver::build(const PointCloud& points, const Kernel& kernel,
                                          : ThreadPool::env_threads();
       impl->blr = std::make_unique<BlrMatrix>(*impl->tree, kernel, bo);
       impl->blr->factorize();
-      if (opt.precision == Precision::F32) impl->blr->round_storage_to_fp32();
       break;
     }
     case SolverStructure::HODLR: {
       impl->hodlr = std::make_unique<HodlrMatrix>(
           *impl->tree, kernel, HodlrMatrix::Options{opt.tol, opt.max_rank});
-      if (opt.precision == Precision::F32) impl->hodlr->round_storage_to_fp32();
       break;
     }
-  }
-  if (opt.precision == Precision::F32 && impl->op == nullptr) {
-    // BLR/HODLR factored (and rounded) their own storage above; build the
-    // fp64 residual operator for the refinement loop while the kernel is
-    // still alive. Weak admissibility matches their (weak/flat) families.
-    // The operator's approximation error floors the dense residual the
-    // refinement can reach, so its tolerance follows the TIGHTER of tol and
-    // refine_tol — an explicit refine_tol below tol buys a more accurate
-    // (larger) operator, not a silently unreachable target.
-    H2BuildOptions ho;
-    ho.admissibility = {Admissibility::Weak, opt.eta};
-    ho.tol = opt.build_tol_factor *
-             (opt.refine_tol > 0.0 ? std::min(opt.tol, opt.refine_tol)
-                                   : opt.tol);
-    ho.max_rank = opt.max_rank;
-    impl->op = std::make_unique<H2Matrix>(*impl->tree, kernel, ho);
   }
   impl->opt = opt;  // after the switch: it may have bound opt.pool
   return Solver(std::move(impl));
@@ -264,7 +250,7 @@ SolveHandle Solver::solve_async(Matrix b) const {
         Matrix x = s.solve(b);
         // Snapshot the backend's trace only if a DAG solve actually
         // completed since this one started — a solve that pipelined inline
-        // (the level sweep) must come back EMPTY, not carry a stale
+        // (untraced) must come back EMPTY, not carry a stale
         // sibling's trace as its own. See SolveHandle::stats.
         SolveHandle::Outcome out{std::move(x), ExecStats{}};
         if (impl->ulv && impl->ulv->solve_stats_generation() != gen0)

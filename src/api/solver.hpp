@@ -89,11 +89,9 @@ struct SolverOptions {
   /// Parallel (the paper's dependency-free elimination) or the Sequential
   /// trailing-update baseline.
   UlvMode mode = UlvMode::Parallel;
-  /// Factorization executor: the task DAG (default) or bulk-synchronous
-  /// phase loops.
+  /// DAG shape of the factorization and the solve: the free DAG (default)
+  /// or the bulk-synchronous ablation (a barrier per level and phase).
   UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Solve executor: the recorded solve DAG (default) or the level sweep.
-  UlvExecutor solve_executor = UlvExecutor::TaskDag;
   /// Ready-queue discipline of the executing pool (work stealing or FIFO).
   UlvSchedule schedule = UlvSchedule::WorkSteal;
   /// Ready-task ordering (critical-path priorities or submission order).
@@ -121,12 +119,12 @@ struct SolverOptions {
 
   // ---- Mixed precision (docs/ARCHITECTURE.md "Precision").
   /// Element precision of the stored factorization ($H2_PRECISION, f64).
-  /// Precision::F32 halves every factor block's bytes (ULV backends run the
-  /// native fp32 engine; BLR/HODLR round their factor storage through
-  /// fp32), and every solve then finishes with fp64 iterative refinement
-  /// against the retained fp64 operator — so solutions come back at
-  /// fp64-grade residuals from an fp32-sized factor. Inspect the outcome
-  /// with Solver::last_refine().
+  /// Precision::F32 (H2/HSS only; validate() rejects it for BLR/HODLR)
+  /// runs the native fp32 ULV engine at half the factor bytes, and every
+  /// solve then finishes with fp64 iterative refinement against the
+  /// retained fp64 operator — so solutions come back at fp64-grade
+  /// residuals from an fp32-sized factor. Inspect the outcome with
+  /// Solver::last_refine().
   Precision precision = solver_default_precision();
   /// Relative residual the refinement loop drives mixed-precision solves
   /// to (||b - A x||_F / ||b||_F). 0 (default): refine to `tol`, the
@@ -160,7 +158,6 @@ struct SolverOptions {
   SolverOptions& with_max_rank(int v) { max_rank = v; return *this; }  ///< chain-set max_rank
   SolverOptions& with_mode(UlvMode v) { mode = v; return *this; }  ///< chain-set mode
   SolverOptions& with_executor(UlvExecutor v) { executor = v; return *this; }  ///< chain-set executor
-  SolverOptions& with_solve_executor(UlvExecutor v) { solve_executor = v; return *this; }  ///< chain-set solve_executor
   SolverOptions& with_schedule(UlvSchedule v) { schedule = v; return *this; }  ///< chain-set schedule
   SolverOptions& with_priority(UlvPriority v) { priority = v; return *this; }  ///< chain-set priority
   SolverOptions& with_workers(int v) { n_workers = v; return *this; }  ///< chain-set n_workers
@@ -177,7 +174,8 @@ struct SolverOptions {
   /// The UlvOptions this surface consolidates (H2/HSS structures).
   [[nodiscard]] UlvOptions ulv_options() const;
   /// Throws std::invalid_argument on nonsensical inputs (delegates the
-  /// execution knobs to UlvOptions::validate).
+  /// execution knobs to UlvOptions::validate), including Precision::F32 for
+  /// the BLR/HODLR structures, which have no fp32 factorization.
   void validate() const;
 };
 
@@ -203,10 +201,10 @@ class SolveHandle {
   void wait() const;
   /// Snapshot of the ULV backend's DAG-solve ExecStats taken when this
   /// solve completed, valid after get(). Empty when no NEW DAG trace was
-  /// produced during this solve: non-ULV structures, a PhaseLoops solve
-  /// executor, or a solve that pipelined inline on a pool worker
-  /// (whole-solve pipelining runs the level sweep, not the DAG) — a stale
-  /// trace from an earlier solve is never presented as this one's.
+  /// produced during this solve: non-ULV structures, or a solve that
+  /// pipelined inline on a pool worker (whole-solve pipelining runs the
+  /// graph on that worker's thread, untraced) — a stale trace from an
+  /// earlier solve is never presented as this one's.
   /// Diagnostic only: under CONCURRENT solves the snapshot may describe a
   /// sibling solve that finished in the same window.
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
@@ -259,8 +257,9 @@ class Solver {
       const std::vector<Matrix>& rhs) const;
 
   /// Asynchronous solve (point ordering): enqueue on the pool and return
-  /// immediately. Independent solves overlap; each runs its sweep inline on
-  /// its worker, so a batch pipelines whole solves across the pool.
+  /// immediately. Independent solves overlap; each runs its solve graph
+  /// inline on its worker, so a batch pipelines whole solves across the
+  /// pool.
   [[nodiscard]] SolveHandle solve_async(Matrix b) const;
 
   /// log|det A| from the backend's triangular factors.
@@ -269,8 +268,8 @@ class Solver {
   /// ExecStats of the most recent DAG-executed solve on the ULV backend
   /// (UlvFactorization::last_solve_stats): worker lanes, per-task spans,
   /// executed/stolen counters. Empty for BLR/HODLR backends, before any
-  /// solve, or when solves ran the PhaseLoops sweep. Set H2_SOLVE_TRACE to
-  /// a path to also dump each DAG solve's trace CSV.
+  /// solve, or when every solve ran inline on a pool worker. Set
+  /// H2_SOLVE_TRACE to a path to also dump each DAG solve's trace CSV.
   [[nodiscard]] ExecStats last_solve_stats() const;
 
   /// Typed status of the most recent mixed-precision solve on this

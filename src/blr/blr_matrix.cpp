@@ -137,18 +137,6 @@ ExecStats BlrMatrix::factorize() {
   return graph_.execute(opt_.n_threads);
 }
 
-void BlrMatrix::round_storage_to_fp32() {
-  assert(factorized_);
-  for (auto& [key, tile] : tiles_) {
-    if (tile.dense) {
-      round_through_f32(tile.d);
-    } else {
-      round_through_f32(tile.lr.u);
-      round_through_f32(tile.lr.v);
-    }
-  }
-}
-
 void BlrMatrix::solve(MatrixView b) const {
   assert(factorized_);
   const int depth = tree_->depth();

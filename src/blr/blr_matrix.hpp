@@ -56,12 +56,6 @@ class BlrMatrix {
   /// factorize() to have completed.
   void solve(MatrixView b) const;
 
-  /// Round every stored factor entry through fp32 (after factorize()):
-  /// emulates fp32 factor storage for the mixed-precision facade — the
-  /// perturbed factors still solve, and fp64 refinement against the
-  /// original operator recovers the accuracy (Solver under Precision::F32).
-  void round_storage_to_fp32();
-
   /// log(det A) = 2 sum log diag(L).
   [[nodiscard]] double logabsdet() const;
 

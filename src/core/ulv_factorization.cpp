@@ -48,26 +48,35 @@ UlvEngine<T>::UlvEngine(const H2Matrix& a, const UlvOptions& opt)
       structure_(a.structure()),
       opt_(opt),
       depth_(a.tree().depth()) {
-  opt_.validate();  // rejects nonsense, maps use_threads onto PhaseLoops
+  opt_.validate();
   // Out-of-core tier: the store must exist before factorize() so factor
   // blocks can spill at their release points instead of stacking up.
   if (!opt_.spill_dir.empty())
     spill_attach(opt_.spill_dir, opt_.spill_budget_bytes, opt_.spill_threads);
-  const Timer total;
-  const std::uint64_t flops0 = flops::total();
-  factorize(a);
-  stats_.factor_flops = flops::total() - flops0;
-  stats_.factor_seconds = total.seconds();
-  for (const auto& level_ranks : stats_.ranks)
-    for (const int r : level_ranks) stats_.max_rank = std::max(stats_.max_rank, r);
-  if (solve_dag_mode()) build_solve_plan();
-  if (store_ != nullptr) {
-    spill_finish_registration();
-    build_spill_plan();  // seals the store; rethrows any recorded IO error
-    const SpillStats ss = store_->stats();
-    stats_.spilled_blocks = ss.blocks;
-    stats_.spilled_bytes = ss.block_bytes;
-    stats_.spill_budget_bytes = ss.budget_bytes;
+  try {
+    const Timer total;
+    const std::uint64_t flops0 = flops::total();
+    factorize(a);
+    stats_.factor_flops = flops::total() - flops0;
+    stats_.factor_seconds = total.seconds();
+    for (const auto& level_ranks : stats_.ranks)
+      for (const int r : level_ranks)
+        stats_.max_rank = std::max(stats_.max_rank, r);
+    if (depth_ > 0) build_solve_plan();
+    if (store_ != nullptr) {
+      spill_finish_registration();
+      build_spill_plan();  // seals the store; rethrows any recorded IO error
+      const SpillStats ss = store_->stats();
+      stats_.spilled_blocks = ss.blocks;
+      stats_.spilled_bytes = ss.block_bytes;
+      stats_.spill_budget_bytes = ss.budget_bytes;
+    }
+  } catch (...) {
+    // A failed task (e.g. an exactly singular pivot) surfaces here; the
+    // destructor will not run, so discharge what this factorization charged
+    // — its workspace and factor blocks unwind with the members.
+    blockmem::discharge(tracked_bytes_.load(std::memory_order_relaxed));
+    throw;
   }
 }
 
@@ -170,17 +179,10 @@ void UlvEngine<T>::spill_register_dense(int level) {
   for (auto& [key, m] : levels_[level].dense) {
     if (m.empty() || slots.count(key) != 0) continue;
     const std::uint64_t b = bytes_of(m);
-    SpillStore::SlotId id;
-    try {
-      id = store_->adopt(&m, "dense L" + std::to_string(level) + " (" +
-                                 std::to_string(key.first) + "," +
-                                 std::to_string(key.second) + ")");
-    } catch (const std::exception&) {
-      // Possibly on a DAG worker, where a throw would terminate the pool.
-      // The store recorded the error; spill_finish_registration / seal
-      // rethrows it on the constructor's thread.
-      return;
-    }
+    const SpillStore::SlotId id =
+        store_->adopt(&m, "dense L" + std::to_string(level) + " (" +
+                              std::to_string(key.first) + "," +
+                              std::to_string(key.second) + ")");
     // Accounting ownership moves to the store (adopt charged it); dropping
     // ours second keeps the blockmem counter from dipping below live.
     blockmem::discharge(b);
@@ -268,35 +270,10 @@ void UlvEngine<T>::promote() {
 }
 
 template <class T>
-void UlvEngine<T>::record_task(int level, const char* kind, int owner,
-                                   double seconds) {
-  if (!opt_.record_tasks) return;
-  std::lock_guard<std::mutex> lk(stats_mutex_);
-  stats_.tasks.push_back({level, kind, owner, seconds});
-}
-
-template <class T>
 void UlvEngine<T>::add_dropped(double fro2) {
   if (fro2 <= 0.0) return;
   std::lock_guard<std::mutex> lk(stats_mutex_);
   stats_.dropped_mass += fro2;  // accumulated squared; sqrt at the end
-}
-
-template <class T>
-void UlvEngine<T>::for_indices(int n,
-                                   const std::function<void(int)>& fn) const {
-  if (loops_pool_ != nullptr) {
-    parallel_for(0, n, fn, loops_pool_);
-  } else {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
-}
-
-template <class T>
-bool UlvEngine<T>::task_dag_mode() const {
-  // use_threads was already normalized onto PhaseLoops by validate().
-  return opt_.mode == UlvMode::Parallel &&
-         opt_.executor == UlvExecutor::TaskDag;
 }
 
 template <class T>
@@ -358,16 +335,10 @@ void UlvEngine<T>::prepare(Workspace& w) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase bodies — one (phase, cluster) unit of work each. Both executors call
-// exactly these, in the same per-body operation order, which is what makes
-// the results bitwise identical across executors and worker counts.
+// Phase bodies — one (phase, cluster) unit of work each. Every DAG shape
+// runs exactly these, in the same per-body operation order, which is what
+// makes the results bitwise identical across shapes and worker counts.
 // ---------------------------------------------------------------------------
-
-// assemble and ry are deliberately absent from the flat UlvTaskRecord log:
-// they are dependency-free roots the flat replay would wrongly wall off into
-// barrier-separated phases (and the pre-DAG model never counted them). They
-// still appear in the DAG trace (UlvStats::dag/exec) with their true,
-// unordered structure.
 
 template <class T>
 void UlvEngine<T>::body_assemble(Workspace& w, int level, int i) {
@@ -401,14 +372,12 @@ void UlvEngine<T>::body_ry(Workspace& w, int level, int i) {
 
 template <class T>
 void UlvEngine<T>::body_project_lr(Workspace& w, int level, int i) {
-  const Timer t;
   for (const int j : structure_.admissible_cols(level, i)) {
     const LowRank& lr = w.a->lowrank_block(level, i, j);
     if (lr.rank() == 0) continue;
     track_store(w.ucur[level].at({i, j}), current_rows(level, i, lr.u));
     track_store(w.vcur[level].at({i, j}), current_rows(level, j, lr.v));
   }
-  record_task(level, "project_lr", i, t.seconds());
 }
 
 template <class T>
@@ -421,7 +390,6 @@ void UlvEngine<T>::body_fill(Workspace& w, int level, int k) {
   // concatenating the fill-ins themselves.
   const auto& dcols = structure_.dense_cols(level, k);
   if (dcols.empty()) return;
-  const Timer t;
   Matrix lu = w.cur[level].at({k, k});
   const int nk = lu.rows();
   std::vector<int> piv;
@@ -454,14 +422,12 @@ void UlvEngine<T>::body_fill(Workspace& w, int level, int k) {
   const Matrix rtr = extract_r(rt);  // r_T x r_T
   track_store(w.fill_p[level][k],
               matmul(qr.q.block(0, 0, nk, qr.rank), rtr, Trans::No, Trans::Yes));
-  record_task(level, "fill", k, t.seconds());
 }
 
 template <class T>
 void UlvEngine<T>::body_basis(Workspace& w, int level, int i) {
   // Eqs. 27-28 + nestedness: shared basis per cluster from
   // [fill-in spaces | this level's low-rank blocks | ancestor-block rows].
-  const Timer t;
   Level& ld = levels_[level];
   ld.size[i] = (level == depth_) ? tree_->node(level, i).size()
                                  : levels_[level + 1].rank[2 * i] +
@@ -509,15 +475,13 @@ void UlvEngine<T>::body_basis(Workspace& w, int level, int i) {
     ld.rank[i] = qr.rank;
   }
   stats_.ranks[level][i] = ld.rank[i];
-  record_task(level, "basis", i, t.seconds());
 }
 
 template <class T>
 void UlvEngine<T>::body_project_row(Workspace& w, int level, int i) {
   // Eqs. 8-9: project row i's blocks onto the bases, then (release_blocks)
   // free the row's inputs — the projection is their last consumer (fill and
-  // basis of this row are ordered before it in both executors).
-  const Timer t;
+  // basis of this row are ordered before it in every DAG shape).
   Level& ld = levels_[level];
   // Dense blocks in two batched passes (Q_i^T A, then * Q_j): Q_i is the
   // shared left operand of the whole first pass, so it packs once.
@@ -589,11 +553,10 @@ void UlvEngine<T>::body_project_row(Workspace& w, int level, int i) {
       track_drop(w.vcur[level].at({i, j}));
     }
   }
-  record_task(level, "project", i, t.seconds());
 }
 
 template <class T>
-void UlvEngine<T>::eliminate_block(int level, int k) {
+void UlvEngine<T>::body_eliminate(int level, int k) {
   Level& ld = levels_[level];
   const int n = ld.size[k], r = ld.rank[k], nr = n - r;
   ld.rr_piv[k].clear();
@@ -620,13 +583,6 @@ void UlvEngine<T>::eliminate_block(int level, int k) {
 }
 
 template <class T>
-void UlvEngine<T>::body_eliminate(int level, int k) {
-  const Timer t;
-  eliminate_block(level, k);
-  record_task(level, "eliminate", k, t.seconds());
-}
-
-template <class T>
 void UlvEngine<T>::body_col_solve(int level, int k) {
   // Column strips of pivot k. Separated from body_eliminate so that no two
   // elimination tasks touch one block: this is a same-block exclusion with
@@ -635,7 +591,6 @@ void UlvEngine<T>::body_col_solve(int level, int k) {
   Level& ld = levels_[level];
   const int n = ld.size[k], r = ld.rank[k], nr = n - r;
   if (nr == 0) return;
-  const Timer t;
   ConstMatrixView rr = ld.dense.at({k, k}).block(r, r, nr, nr);
   std::vector<TrsmTask> tasks;
   for (const int i : structure_.dense_rows(level, k)) {
@@ -644,7 +599,6 @@ void UlvEngine<T>::body_col_solve(int level, int k) {
         {Side::Right, UpLo::Upper, Trans::No, Diag::NonUnit, 1.0, rr, strip});
   }
   trsm_batch(tasks);
-  record_task(level, "col_solve", k, t.seconds());
 }
 
 template <class T>
@@ -668,7 +622,6 @@ std::vector<int> UlvEngine<T>::schur_k_list(int level, int i, int j) const {
 template <class T>
 void UlvEngine<T>::body_schur(int level, int i, int j, bool admissible) {
   // Schur products organized by *target* so accumulation is race-free.
-  const Timer t;
   Level& ld = levels_[level];
   const int ri = ld.rank[i], rj = ld.rank[j];
   if (ri == 0 || rj == 0) return;
@@ -683,7 +636,6 @@ void UlvEngine<T>::body_schur(int level, int i, int j, bool admissible) {
     tasks.push_back({-1.0, left, Trans::No, right, Trans::No, 1.0, tgt});
   }
   gemm_batch(tasks);
-  record_task(level, "schur", i, t.seconds());
 }
 
 template <class T>
@@ -723,10 +675,68 @@ void UlvEngine<T>::body_dropped(int level, int k) {
 }
 
 template <class T>
+void UlvEngine<T>::body_eliminate_trailing(int level, int k) {
+  // One pivot of the right-looking block elimination with trailing-sub-
+  // matrix updates (the Sec. II.D flow, UlvMode::Sequential). Fill-ins into
+  // admissible targets are recompressed by projection onto the shared
+  // bases; their out-of-basis residual is dropped (and measured when
+  // requested) — exactly the residual the paper's pre-computed-fill-in
+  // bases make negligible.
+  Level& ld = levels_[level];
+  body_eliminate(level, k);
+  const int rk = ld.rank[k], nrk = ld.size[k] - rk;
+  if (nrk == 0) return;
+  ConstMatrixView rr = ld.dense.at({k, k}).block(rk, rk, nrk, nrk);
+  for (const int i : structure_.dense_rows(level, k)) {
+    MatrixView strip = ld.dense.at({i, k}).block(0, rk, ld.size[i], nrk);
+    trsm(Side::Right, UpLo::Upper, Trans::No, Diag::NonUnit, 1.0, rr, strip);
+  }
+
+  std::vector<int> is = structure_.dense_rows(level, k);
+  is.push_back(k);
+  std::vector<int> js = structure_.dense_cols(level, k);
+  js.push_back(k);
+  for (const int i : is) {
+    for (const int j : js) {
+      // (k,k) itself gets the classic SS downdate (Eq. 14) through the
+      // same path: rsel = csel = rank[k].
+      // Rows of i still active: all of them while i awaits elimination,
+      // only the skeleton rows afterwards (and for i == k).
+      const int rsel = (i > k) ? ld.size[i] : ld.rank[i];
+      const int csel = (j > k) ? ld.size[j] : ld.rank[j];
+      if (rsel == 0 || csel == 0) continue;
+      ConstMatrixView left = ld.dense.at({i, k}).block(0, rk, rsel, nrk);
+      ConstMatrixView right = ld.dense.at({k, j}).block(rk, 0, nrk, csel);
+      if (structure_.is_inadmissible_at(level, i, j)) {
+        gemm(-1.0, left, Trans::No, right, Trans::No, 1.0,
+             ld.dense.at({i, j}).block(0, 0, rsel, csel));
+      } else if (structure_.is_admissible_at(level, i, j)) {
+        const int ri = ld.rank[i], rj = ld.rank[j];
+        if (ri > 0 && rj > 0) {
+          gemm(-1.0, left.block(0, 0, ri, nrk), Trans::No,
+               right.block(0, 0, nrk, rj), Trans::No, 1.0,
+               skel_[level].at({i, j}));
+        }
+        if (opt_.measure_dropped) {
+          const Matrix full = matmul(left, right);
+          const double all = norm_fro(full);
+          const double ss =
+              (ri > 0 && rj > 0) ? norm_fro(full.block(0, 0, ri, rj)) : 0.0;
+          add_dropped(all * all - ss * ss);
+        }
+      } else if (opt_.measure_dropped) {
+        const Matrix full = matmul(left, right);
+        const double all = norm_fro(full);
+        add_dropped(all * all);
+      }
+    }
+  }
+}
+
+template <class T>
 void UlvEngine<T>::body_merge(Workspace& w, int level, int pi, int pj) {
   // Eq. 22: merge the four children's skeleton sub-blocks into one parent
   // block of level - 1.
-  const Timer t;
   Level& ld = levels_[level];
   const int rows = ld.rank[2 * pi] + ld.rank[2 * pi + 1];
   const int cols = ld.rank[2 * pj] + ld.rank[2 * pj + 1];
@@ -749,19 +759,16 @@ void UlvEngine<T>::body_merge(Workspace& w, int level, int pi, int pj) {
     r0 += ld.rank[ci];
   }
   track_store(w.cur[level - 1].at({pi, pj}), std::move(m));
-  record_task(level - 1, "merge", pi, t.seconds());
 }
 
 template <class T>
 void UlvEngine<T>::body_top(Workspace& w) {
-  const Timer t;
   track_take(top_lu_, w.cur[0].at({0, 0}));
   getrf(top_lu_, top_piv_);
-  record_task(0, "top", 0, t.seconds());
 }
 
 // ---------------------------------------------------------------------------
-// Executors.
+// The executor: one task DAG for every mode and shape.
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -775,123 +782,9 @@ void UlvEngine<T>::factorize(const H2Matrix& a) {
     const Timer t;
     track_store(top_lu_, from_f64(a.dense_block(0, 0)));
     getrf(top_lu_, top_piv_);
-    record_task(0, "top", 0, t.seconds());
+    if (opt_.record_tasks) stats_.tasks.push_back({0, "top", 0, t.seconds()});
     return;
   }
-  if (task_dag_mode()) {
-    factorize_dag(a);
-  } else {
-    factorize_loops(a);
-  }
-}
-
-template <class T>
-void UlvEngine<T>::factorize_loops(const H2Matrix& a) {
-  // Resolve the phase-loop pool from the SAME options the TaskDag executor
-  // dispatches on — an explicit pool, then n_workers, then (only for the
-  // deprecated use_threads alias) the process-wide pool. The historical
-  // dispatch keyed on use_threads alone, so `executor = PhaseLoops` with
-  // n_workers > 0 or a supplied pool silently ran serial.
-  std::unique_ptr<ThreadPool> owned;
-  if (opt_.mode == UlvMode::Parallel) {
-    ThreadPool* pool = opt_.pool;
-    if (pool == nullptr && opt_.n_workers > 0) {
-      owned = std::make_unique<ThreadPool>(opt_.n_workers, opt_.queue_policy());
-      pool = owned.get();
-    } else if (pool == nullptr && opt_.use_threads) {
-      pool = &ThreadPool::global();
-    }
-    // parallel_for blocks its caller; draining into our own pool could
-    // deadlock it (same guard as factorize_dag).
-    if (pool != nullptr && pool != ThreadPool::current()) loops_pool_ = pool;
-  }
-
-  blockmem::reset_peak();  // measurement window, like TaskGraph::execute
-  Workspace w;
-  w.a = &a;
-  prepare(w);
-  for (int l = 1; l <= depth_; ++l)
-    for_indices(tree_->n_clusters(l), [&](int i) { body_ry(w, l, i); });
-  for_indices(tree_->n_clusters(depth_),
-              [&](int i) { body_assemble(w, depth_, i); });
-  for (int level = depth_; level >= 1; --level) process_level(w, level);
-  body_top(w);
-  loops_pool_ = nullptr;
-  stats_.peak_block_bytes = blockmem::peak();
-  stats_.final_block_bytes = blockmem::live();
-}
-
-template <class T>
-void UlvEngine<T>::process_level(Workspace& w, int level) {
-  const int nb = tree_->n_clusters(level);
-  const Timer setup_timer;
-
-  // ---- Phase P0: admissible blocks of this level in current coordinates.
-  for_indices(nb, [&](int i) { body_project_lr(w, level, i); });
-
-  // ---- Phase B1 (Fig. 7): fill-in column spaces per pivot row.
-  if (opt_.fillin_augmentation)
-    for_indices(nb, [&](int k) { body_fill(w, level, k); });
-
-  // ---- Phase B2 (Eqs. 27-28): shared basis per cluster.
-  for_indices(nb, [&](int i) { body_basis(w, level, i); });
-
-  // ry_[level]'s readers are the basis phases of levels >= level (deeper
-  // levels ran first in the depth -> 1 sweep, this one just finished) and
-  // fill_p[level]'s are this level's bases alone — both are dead here, the
-  // bulk-synchronous mirror of the DAG's release tasks.
-  if (opt_.release_blocks) {
-    for (int i = 0; i < nb; ++i) release_ry_row(level, i);
-    for (Matrix& p : w.fill_p[level]) track_drop(p);
-  }
-
-  // ---- Phase P1 (Eqs. 8-9): project everything onto the bases.
-  for_indices(nb, [&](int i) { body_project_row(w, level, i); });
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    stats_.setup_seconds += setup_timer.seconds();
-  }
-
-  // ---- Phase E: eliminate the redundant variables.
-  if (opt_.mode == UlvMode::Parallel) {
-    eliminate_parallel(level);
-  } else {
-    eliminate_sequential(level);
-  }
-
-  // ---- Phase M (Eq. 22): merge skeleton sub-blocks into the parent level.
-  const auto& parent_pairs = structure_.inadmissible_pairs(level - 1);
-  for_indices(static_cast<int>(parent_pairs.size()), [&](int p) {
-    body_merge(w, level, parent_pairs[p].first, parent_pairs[p].second);
-  });
-
-  // The merges were the skeletons' last consumers; the level is complete.
-  if (opt_.release_blocks) release_level_remnants(w, level);
-}
-
-template <class T>
-void UlvEngine<T>::eliminate_parallel(int level) {
-  const int nb = levels_[level].nb;
-  // E1: pivots, diagonal strips and row strips — one independent task per
-  // block row (the paper's "no trailing sub-matrix dependencies").
-  for_indices(nb, [&](int k) { body_eliminate(level, k); });
-  // E2: column strips (separated from E1 so no two tasks touch one block).
-  for_indices(nb, [&](int k) { body_col_solve(level, k); });
-  // E3: Schur products by target.
-  const auto& inadm = structure_.inadmissible_pairs(level);
-  const auto& adm = structure_.admissible_pairs(level);
-  for_indices(static_cast<int>(inadm.size()), [&](int p) {
-    body_schur(level, inadm[p].first, inadm[p].second, false);
-  });
-  for_indices(static_cast<int>(adm.size()), [&](int p) {
-    body_schur(level, adm[p].first, adm[p].second, true);
-  });
-  if (opt_.measure_dropped)
-    for (int k = 0; k < nb; ++k) body_dropped(level, k);
-}
-
-template <class T>
-void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
   Workspace w;
   w.a = &a;
   prepare(w);
@@ -901,16 +794,30 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
   // eliminate -> col_solve -> schur per block row; NO eliminate -> eliminate
   // edges (the paper's "no trailing sub-matrix dependencies"). Across
   // levels: schur -> merge -> {fill, basis, project} of the parent level, so
-  // level L-1 starts while level L still drains.
+  // level L-1 starts while level L still drains. The ablations are shapes
+  // of this graph: Sequential mode swaps a level's eliminate/col_solve/
+  // schur tasks for a chain of one trailing-update task per pivot, and the
+  // PhaseLoops shape adds a barrier between consecutive phase groups.
   TaskGraph g;
   const int d = depth_;
   std::vector<std::vector<TaskId>> t_ry(d + 1), t_fill(d + 1), t_basis(d + 1),
       t_project(d + 1), t_elim(d + 1), t_col(d + 1);
   // Producer of each cur[level] block: leaf assembly or a parent merge.
   std::vector<std::map<Key, TaskId>> t_producer(d + 1), t_schur(d + 1);
+  // Compute tasks per (level, phase) in emission order — the groups the
+  // PhaseLoops shape separates with barriers. Every edge runs from an
+  // earlier group to a later one (or stays inside a group).
+  std::vector<std::vector<TaskId>> phases;
+  const auto phase = [&phases] { phases.emplace_back(); };
 
   auto dep = [&](TaskId before, TaskId after) {
     if (before >= 0) g.add_dependency(before, after);
+  };
+  const auto add = [&](std::function<void()> body, const char* label,
+                       int owner, int level) {
+    const TaskId t = g.add_task(std::move(body), label, owner, level);
+    phases.back().push_back(t);
+    return t;
   };
 
   // Per-task output payloads for the distributed model (DagRecord::out_bytes,
@@ -924,11 +831,10 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
   const auto add_noted = [&](std::function<void()> body,
                              std::function<double()> bytes, const char* label,
                              int owner, int level) {
-    if (!opt_.record_tasks)
-      return g.add_task(std::move(body), label, owner, level);
+    if (!opt_.record_tasks) return add(std::move(body), label, owner, level);
     // The closure needs its own TaskId, which add_task only mints afterwards.
     auto id = std::make_shared<TaskId>(-1);
-    const TaskId t = g.add_task(
+    const TaskId t = add(
         [body = std::move(body), bytes = std::move(bytes), &g, id] {
           body();
           g.set_out_bytes(*id, bytes());
@@ -941,6 +847,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
   // ry factors have no predecessors; every level's basis phase may consume
   // the ry of any ancestor level, so emit them all up front.
   for (int l = 1; l <= d; ++l) {
+    phase();
     const int nb = tree_->n_clusters(l);
     t_ry[l].resize(nb);
     for (int i = 0; i < nb; ++i) {
@@ -960,6 +867,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
 
   // Leaf assembly: the producers of cur[depth].
   {
+    phase();
     const int nb = tree_->n_clusters(d);
     std::vector<TaskId> t_asm(nb);
     for (int i = 0; i < nb; ++i) {
@@ -986,6 +894,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
     auto child_basis = [&](int c) { return leaf ? -1 : t_basis[level + 1][c]; };
 
     // P0: needs the subtree bases of row i and of every admissible partner.
+    phase();
     std::vector<TaskId> t_plr(nb);
     for (int i = 0; i < nb; ++i) {
       const TaskId t = add_noted(
@@ -1014,6 +923,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
     }
 
     // B1: needs row k's merged/assembled blocks.
+    phase();
     t_fill[level].assign(nb, -1);
     if (opt_.fillin_augmentation) {
       for (int k = 0; k < nb; ++k) {
@@ -1034,6 +944,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
 
     // B2: needs row i's fill spaces + low-rank factors + subtree bases +
     // the ry of this row and of every ancestor's row.
+    phase();
     t_basis[level].resize(nb);
     for (int i = 0; i < nb; ++i) {
       const TaskId t = add_noted(
@@ -1061,6 +972,7 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
     // P1: needs this row's basis and every partner's basis, plus the row's
     // blocks (which it frees — hence the explicit fill(k) edge: the fill of
     // pivot k reads row k before its projection recycles it).
+    phase();
     t_project[level].resize(nb);
     for (int i = 0; i < nb; ++i) {
       const TaskId t = add_noted(
@@ -1087,80 +999,118 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
       t_project[level][i] = t;
     }
 
-    // E1: one independent task per block row — no edges among them.
-    t_elim[level].resize(nb);
-    for (int k = 0; k < nb; ++k) {
-      const TaskId t = add_noted(
-          [this, level, k] { body_eliminate(level, k); },
-          [this, level, k] {
-            const Level& ld = levels_[level];
-            const double nr = ld.size[k] - ld.rank[k];
-            // The factored diagonal (RR + its RS/SR strips) plus the solved
-            // redundant row strips of every dense neighbor.
-            double b = nr * ld.size[k] + static_cast<double>(ld.rank[k]) * nr;
-            for (const int j : structure_.dense_cols(level, k))
-              b += nr * ld.size[j];
-            return static_cast<double>(sizeof(T)) * b;
-          },
-          "eliminate", k, level);
-      dep(t_project[level][k], t);
-      t_elim[level][k] = t;
-    }
-
-    // E2: column strips share blocks with the row tasks of their dense
-    // neighbors (same-block exclusion, not a data chain).
-    t_col[level].resize(nb);
-    for (int k = 0; k < nb; ++k) {
-      const TaskId t = add_noted(
-          [this, level, k] { body_col_solve(level, k); },
-          [this, level, k] {
-            const Level& ld = levels_[level];
-            const double nr = ld.size[k] - ld.rank[k];
-            double b = 0.0;  // the solved redundant column strips
-            for (const int i : structure_.dense_rows(level, k))
-              b += static_cast<double>(ld.size[i]) * nr;
-            return static_cast<double>(sizeof(T)) * b;
-          },
-          "col_solve", k, level);
-      dep(t_elim[level][k], t);
-      for (const int i : structure_.dense_rows(level, k)) dep(t_elim[level][i], t);
-      t_col[level][k] = t;
-    }
-
-    // E3: per stored target; reads the solved strips of every qualifying
-    // pivot k, all final once col_solve(k) ran.
-    auto emit_schur = [&](int i, int j, bool admissible) {
-      const TaskId t = add_noted(
-          [this, level, i, j, admissible] { body_schur(level, i, j, admissible); },
-          [this, level, i, j] {
-            const Level& ld = levels_[level];
-            return static_cast<double>(sizeof(T)) * static_cast<double>(ld.rank[i]) * ld.rank[j];
-          },
-          "schur", i, level);
-      dep(t_project[level][i], t);
-      for (const int k : schur_k_list(level, i, j)) dep(t_col[level][k], t);
-      t_schur[level][{i, j}] = t;
-    };
-    for (const auto& [i, j] : structure_.inadmissible_pairs(level))
-      emit_schur(i, j, false);
-    for (const auto& [i, j] : structure_.admissible_pairs(level))
-      emit_schur(i, j, true);
-
-    if (opt_.measure_dropped) {
-      for (int k = 0; k < nb; ++k) {
-        const TaskId t = g.add_task(
-            [this, level, k] { body_dropped(level, k); }, "dropped", k, level);
-        // Reads pivot k's solved strips FULL-width: col_solve(j) of every
-        // dense neighbor still writes the right columns of (k, j).
-        dep(t_col[level][k], t);
+    // The factored diagonal (RR + its RS/SR strips) plus the solved
+    // redundant row strips of every dense neighbor.
+    const auto eliminate_bytes = [this, level](int k) {
+      return [this, level, k] {
+        const Level& ld = levels_[level];
+        const double nr = ld.size[k] - ld.rank[k];
+        double b = nr * ld.size[k] + static_cast<double>(ld.rank[k]) * nr;
         for (const int j : structure_.dense_cols(level, k))
-          dep(t_col[level][j], t);
+          b += nr * ld.size[j];
+        return static_cast<double>(sizeof(T)) * b;
+      };
+    };
+
+    if (opt_.mode == UlvMode::Sequential) {
+      // The Sec. II.D baseline: one task per pivot, chained in pivot order —
+      // pivot k's trailing updates must land before pivot k+1 reads them.
+      // The chain head waits on every projection of the level (the rest of
+      // the chain inherits that through its k-1 -> k edges), and the tail
+      // stands in for every Schur target: the merges and the skeleton
+      // releases of the level hang off it.
+      phase();
+      TaskId prev = -1;
+      for (int k = 0; k < nb; ++k) {
+        const TaskId t = add_noted(
+            [this, level, k] { body_eliminate_trailing(level, k); },
+            eliminate_bytes(k), "eliminate", k, level);
+        if (prev < 0) {
+          for (const TaskId pt : t_project[level]) dep(pt, t);
+        } else {
+          dep(prev, t);
+        }
+        prev = t;
+      }
+      for (const auto& [i, j] : structure_.inadmissible_pairs(level))
+        t_schur[level][{i, j}] = prev;
+      for (const auto& [i, j] : structure_.admissible_pairs(level))
+        t_schur[level][{i, j}] = prev;
+    } else {
+      // E1: one independent task per block row — no edges among them.
+      phase();
+      t_elim[level].resize(nb);
+      for (int k = 0; k < nb; ++k) {
+        const TaskId t =
+            add_noted([this, level, k] { body_eliminate(level, k); },
+                      eliminate_bytes(k), "eliminate", k, level);
+        dep(t_project[level][k], t);
+        t_elim[level][k] = t;
+      }
+
+      // E2: column strips share blocks with the row tasks of their dense
+      // neighbors (same-block exclusion, not a data chain).
+      phase();
+      t_col[level].resize(nb);
+      for (int k = 0; k < nb; ++k) {
+        const TaskId t = add_noted(
+            [this, level, k] { body_col_solve(level, k); },
+            [this, level, k] {
+              const Level& ld = levels_[level];
+              const double nr = ld.size[k] - ld.rank[k];
+              double b = 0.0;  // the solved redundant column strips
+              for (const int i : structure_.dense_rows(level, k))
+                b += static_cast<double>(ld.size[i]) * nr;
+              return static_cast<double>(sizeof(T)) * b;
+            },
+            "col_solve", k, level);
+        dep(t_elim[level][k], t);
+        for (const int i : structure_.dense_rows(level, k))
+          dep(t_elim[level][i], t);
+        t_col[level][k] = t;
+      }
+
+      // E3: per stored target; reads the solved strips of every qualifying
+      // pivot k, all final once col_solve(k) ran.
+      phase();
+      auto emit_schur = [&](int i, int j, bool admissible) {
+        const TaskId t = add_noted(
+            [this, level, i, j, admissible] {
+              body_schur(level, i, j, admissible);
+            },
+            [this, level, i, j] {
+              const Level& ld = levels_[level];
+              return static_cast<double>(sizeof(T)) *
+                     static_cast<double>(ld.rank[i]) * ld.rank[j];
+            },
+            "schur", i, level);
+        dep(t_project[level][i], t);
+        for (const int k : schur_k_list(level, i, j)) dep(t_col[level][k], t);
+        t_schur[level][{i, j}] = t;
+      };
+      for (const auto& [i, j] : structure_.inadmissible_pairs(level))
+        emit_schur(i, j, false);
+      for (const auto& [i, j] : structure_.admissible_pairs(level))
+        emit_schur(i, j, true);
+
+      if (opt_.measure_dropped) {
+        phase();
+        for (int k = 0; k < nb; ++k) {
+          const TaskId t = add([this, level, k] { body_dropped(level, k); },
+                               "dropped", k, level);
+          // Reads pivot k's solved strips FULL-width: col_solve(j) of every
+          // dense neighbor still writes the right columns of (k, j).
+          dep(t_col[level][k], t);
+          for (const int j : structure_.dense_cols(level, k))
+            dep(t_col[level][j], t);
+        }
       }
     }
 
     // M: the four child targets feed one parent block; the merge is the
     // producer the next level's fill/basis/project wait on — and the only
     // cross-level synchronization there is.
+    phase();
     for (const auto& [pi, pj] : structure_.inadmissible_pairs(level - 1)) {
       const TaskId t = add_noted(
           [this, &w, level, pi, pj] { body_merge(w, level, pi, pj); },
@@ -1173,15 +1123,21 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
                    (ld.rank[2 * pj] + ld.rank[2 * pj + 1]);
           },
           "merge", pi, level - 1);
+      // Distinct producers only: a Sequential level's targets share one.
+      std::vector<TaskId> targets;
       for (int ci = 2 * pi; ci <= 2 * pi + 1; ++ci)
         for (int cj = 2 * pj; cj <= 2 * pj + 1; ++cj)
-          dep(t_schur[level].at({ci, cj}), t);
+          targets.push_back(t_schur[level].at({ci, cj}));
+      std::sort(targets.begin(), targets.end());
+      targets.erase(std::unique(targets.begin(), targets.end()),
+                    targets.end());
+      for (const TaskId s : targets) dep(s, t);
       t_producer[level - 1][{pi, pj}] = t;
     }
   }
 
-  const TaskId t_top =
-      g.add_task([this, &w] { body_top(w); }, "top", 0, 0);
+  phase();
+  const TaskId t_top = add([this, &w] { body_top(w); }, "top", 0, 0);
   dep(t_producer[0].at({0, 0}), t_top);
 
   // Reference-counted block release: every edge added above is a read of its
@@ -1199,12 +1155,17 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
     // containers; the level-complete remnant task below clears the
     // containers themselves, so it must run after these.
     std::vector<std::vector<TaskId>> level_releases(d + 1);
+    // Consumers are compute tasks only: a Sequential chain tail produces
+    // every skeleton block of its level, and its earlier releases must not
+    // count as readers of the later ones.
+    const TaskId n_compute = g.n_tasks();
     const auto add_release = [&](std::function<void()> fn, int owner, int level,
                                  TaskId producer) {
       const std::vector<TaskId> consumers = g.successors()[producer];
       const TaskId t = g.add_task(std::move(fn), "release", owner, level);
       g.add_dependency(producer, t);
-      for (const TaskId c : consumers) g.add_dependency(c, t);
+      for (const TaskId c : consumers)
+        if (c < n_compute) g.add_dependency(c, t);
       releases.push_back(t);
       level_releases[level].push_back(t);
     };
@@ -1241,6 +1202,13 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
       releases.push_back(t);
     }
   }
+
+  // Bulk-synchronous shape: added after the releases, whose consumer
+  // snapshots must see only true readers.
+  if (opt_.executor == UlvExecutor::PhaseLoops)
+    add_phase_barriers(
+        phases, [&g] { return g.add_task([] {}, "barrier"); },
+        [&g](TaskId before, TaskId after) { g.add_dependency(before, after); });
 
   // Bottom-level priorities: the same ranking the scheduling simulator
   // list-schedules by, now driving the real executor.
@@ -1290,11 +1258,10 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
 
   {
     // Setup time = wall clock during which basis-construction work was in
-    // flight: the interval union of the setup-phase task spans. Same phase
-    // set as the loops executor's per-level setup windows (P0..P1, ry and
-    // assemble excluded there too); on one worker the union degenerates to
-    // the same phase-duration sum, and on any worker count it stays within
-    // the execution wall time, so factor_seconds >= setup_seconds holds.
+    // flight: the interval union of the setup-phase task spans (P0..P1; ry
+    // and assemble excluded). On one worker the union degenerates to the
+    // phase-duration sum, and on any worker count it stays within the
+    // execution wall time, so factor_seconds >= setup_seconds holds.
     std::vector<std::pair<double, double>> spans;
     for (const auto& r : ex.records)
       if (r.label == "project_lr" || r.label == "fill" || r.label == "basis" ||
@@ -1306,80 +1273,24 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
       setup += std::max(0.0, t1 - std::max(t0, open_until));
       open_until = std::max(open_until, t1);
     }
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    stats_.setup_seconds += setup;
+    stats_.setup_seconds = setup;
   }
   stats_.peak_block_bytes = ex.peak_block_bytes;
   stats_.final_block_bytes = ex.live_block_bytes;
   if (opt_.record_tasks) {
+    // The flat log is a view of the trace: compute kinds only (see
+    // UlvStats::tasks).
+    static constexpr const char* kKinds[] = {
+        "project_lr", "fill", "basis", "project", "eliminate",
+        "col_solve",  "schur", "merge", "top"};
+    for (const TaskRecord& r : ex.records)
+      for (const char* kind : kKinds)
+        if (r.label == kind) {
+          stats_.tasks.push_back({r.level, kind, r.owner, r.duration()});
+          break;
+        }
     stats_.dag = g.record();
     stats_.exec = std::move(ex);
-  }
-}
-
-template <class T>
-void UlvEngine<T>::eliminate_sequential(int level) {
-  Level& ld = levels_[level];
-  const int nb = ld.nb;
-  // Right-looking block elimination with trailing-sub-matrix updates (the
-  // Sec. II.D flow). Fill-ins into admissible targets are recompressed by
-  // projection onto the shared bases; their out-of-basis residual is dropped
-  // (and measured when requested) — exactly the residual the paper's
-  // pre-computed-fill-in bases make negligible.
-  for (int k = 0; k < nb; ++k) {
-    const Timer t;
-    eliminate_block(level, k);
-    const int rk = ld.rank[k], nrk = ld.size[k] - rk;
-    if (nrk == 0) {
-      record_task(level, "eliminate", k, t.seconds());
-      continue;
-    }
-    ConstMatrixView rr = ld.dense.at({k, k}).block(rk, rk, nrk, nrk);
-    for (const int i : structure_.dense_rows(level, k)) {
-      MatrixView strip = ld.dense.at({i, k}).block(0, rk, ld.size[i], nrk);
-      trsm(Side::Right, UpLo::Upper, Trans::No, Diag::NonUnit, 1.0, rr, strip);
-    }
-
-    std::vector<int> is = structure_.dense_rows(level, k);
-    is.push_back(k);
-    std::vector<int> js = structure_.dense_cols(level, k);
-    js.push_back(k);
-    for (const int i : is) {
-      for (const int j : js) {
-        // (k,k) itself gets the classic SS downdate (Eq. 14) through the
-        // same path: rsel = csel = rank[k].
-        // Rows of i still active: all of them while i awaits elimination,
-        // only the skeleton rows afterwards (and for i == k).
-        const int rsel = (i > k) ? ld.size[i] : ld.rank[i];
-        const int csel = (j > k) ? ld.size[j] : ld.rank[j];
-        if (rsel == 0 || csel == 0) continue;
-        ConstMatrixView left = ld.dense.at({i, k}).block(0, rk, rsel, nrk);
-        ConstMatrixView right = ld.dense.at({k, j}).block(rk, 0, nrk, csel);
-        if (structure_.is_inadmissible_at(level, i, j)) {
-          gemm(-1.0, left, Trans::No, right, Trans::No, 1.0,
-               ld.dense.at({i, j}).block(0, 0, rsel, csel));
-        } else if (structure_.is_admissible_at(level, i, j)) {
-          const int ri = ld.rank[i], rj = ld.rank[j];
-          if (ri > 0 && rj > 0) {
-            gemm(-1.0, left.block(0, 0, ri, nrk), Trans::No,
-                 right.block(0, 0, nrk, rj), Trans::No, 1.0,
-                 skel_[level].at({i, j}));
-          }
-          if (opt_.measure_dropped) {
-            const Matrix full = matmul(left, right);
-            const double all = norm_fro(full);
-            const double ss =
-                (ri > 0 && rj > 0) ? norm_fro(full.block(0, 0, ri, rj)) : 0.0;
-            add_dropped(all * all - ss * ss);
-          }
-        } else if (opt_.measure_dropped) {
-          const Matrix full = matmul(left, right);
-          const double all = norm_fro(full);
-          add_dropped(all * all);
-        }
-      }
-    }
-    record_task(level, "eliminate", k, t.seconds());
   }
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,15 +42,16 @@ namespace h2 {
 ///  5. merge the skeleton sub-blocks into the parent level (Eq. 22).
 /// The final merged block is LU-factorized densely.
 ///
-/// The numerics of each phase live in per-cluster `body_*` methods — one
-/// source of truth consumed by two executors. Parallel mode defaults to
-/// UlvExecutor::TaskDag: the factorization is built as a dependency-counted
+/// The numerics of each phase live in per-cluster `body_*` methods, and one
+/// executor runs them: the factorization is built as a dependency-counted
 /// TaskGraph (one task per phase x cluster; fill→basis→project→eliminate
 /// within a block row, project→schur→merge toward the parent, merge→fill
 /// across levels so level L-1 starts while level L drains) and executed on a
-/// ThreadPool. The bulk-synchronous phase loops remain as the PhaseLoops
-/// ablation and as the Sequential baseline's only flow. Both executors and
-/// any worker count produce bitwise-identical factors — per precision: the
+/// ThreadPool. The ablations are shapes of that graph: UlvExecutor::
+/// PhaseLoops adds a barrier task between consecutive (level, phase)
+/// groups, and UlvMode::Sequential chains one trailing-update task per
+/// pivot in place of a level's independent eliminations. Every shape and
+/// worker count produces bitwise-identical factors — per precision: the
 /// fp32 engine has exactly the same determinism contract as the fp64 one.
 ///
 /// The matrix must be symmetric (all built-in kernels are), which makes the
@@ -86,13 +86,13 @@ class UlvEngine {
   /// In-place solve A x = b; b is n x nrhs in TREE ordering (the ordering of
   /// ClusterTree::points(), NOT the caller's original point order — use
   /// ClusterTree::to_tree_order/from_tree_order, or the h2::Solver facade
-  /// which handles the permutation). Under opt.solve_executor == TaskDag
-  /// (the default) the forward/backward sweeps execute as a task DAG whose
-  /// structure was recorded once at factorization time (see solve_dag());
-  /// PhaseLoops keeps the bulk-synchronous per-level sweep. Both executors,
-  /// any scheduling policy, and any worker count produce bitwise-identical
-  /// solutions. Thread-safe: concurrent solves on one factorization share
-  /// only read-only factor data.
+  /// which handles the permutation). The forward/backward sweeps execute as
+  /// a task DAG whose structure was recorded once at factorization time
+  /// (see solve_dag()). A solve running on a worker of the pool it would
+  /// execute on (a pipelined solve_async) runs the same graph inline on its
+  /// own thread instead. Every DAG shape, scheduling policy, and worker
+  /// count produces bitwise-identical solutions. Thread-safe: concurrent
+  /// solves on one factorization share only read-only factor data.
   void solve(MatrixView b) const;
 
   /// log|det A| from the triangular factors (orthogonal transforms drop out).
@@ -109,9 +109,8 @@ class UlvEngine {
   /// Execution statistics of the most recent DAG-executed solve on this
   /// factorization (worker lanes, per-task spans, executed/stolen counters —
   /// the same ExecStats the factorization's own execution reports). Empty
-  /// until a solve ran under the TaskDag solve executor; solves that fall
-  /// back to the inline level sweep (PhaseLoops, or a solve submitted onto
-  /// its own pool's worker) do not touch it. Concurrent solves overwrite it
+  /// until a solve executed on a pool; inline solves (submitted onto their
+  /// own pool's worker) do not touch it. Concurrent solves overwrite it
   /// last-writer-wins — it is a diagnostic surface, not a per-solve result;
   /// SolveHandle::stats() snapshots it at solve completion. When the
   /// H2_SOLVE_TRACE environment variable names a file, every DAG solve also
@@ -120,20 +119,20 @@ class UlvEngine {
 
   /// Number of DAG-executed solves completed on this factorization — bumped
   /// exactly when last_solve_stats() changes. Snapshot it around a solve to
-  /// tell whether THAT solve produced a new trace (a solve that fell back
-  /// to the inline sweep does not): the facade's SolveHandle::stats uses
+  /// tell whether THAT solve produced a new trace (an inline solve does
+  /// not): the facade's SolveHandle::stats uses
   /// this to avoid presenting a stale sibling trace as its own.
   [[nodiscard]] std::uint64_t solve_stats_generation() const;
 
-  /// The solve DAG recorded at factorization time (empty unless Parallel
-  /// mode with the TaskDag solve executor and depth > 0 — Sequential mode
-  /// always sweeps, like its factorization). The first half is the
-  /// forward sweep's block-row structure (fwd_xform -> fwd_subst ->
-  /// fwd_down -> fwd_merge per level, rooted at "top"); the second half is
-  /// its mirror for the backward sweep — every forward task has a backward
-  /// twin and every forward edge is reused REVERSED (bwd_split <- bwd_xs <-
-  /// bwd_y <- bwd_combine). DagRecord::priority carries the critical-path
-  /// (bottom-level) ranks that drive the executor.
+  /// The solve DAG recorded at factorization time (empty only for a
+  /// depth-0 tree). The first half is the forward sweep's block-row
+  /// structure (fwd_xform -> fwd_subst -> fwd_down -> fwd_merge per level,
+  /// rooted at "top"); the second half is its mirror for the backward
+  /// sweep — every forward task has a backward twin and every forward edge
+  /// is reused REVERSED (bwd_split <- bwd_xs <- bwd_y <- bwd_combine).
+  /// Under the PhaseLoops shape "barrier" tasks follow the twins, one
+  /// between consecutive (level, phase) groups. DagRecord::priority carries
+  /// the critical-path (bottom-level) ranks that drive the executor.
   [[nodiscard]] const DagRecord& solve_dag() const { return solve_dag_; }
 
   /// Counters of the out-of-core factor store (src/storage). All zero when
@@ -174,7 +173,7 @@ class UlvEngine {
 
   /// Transient per-level block storage consumed by the phase bodies: the
   /// current-coordinate blocks entering each level plus the intermediates of
-  /// the basis pipeline. Defined in the .cpp; shared by both executors.
+  /// the basis pipeline. Defined in the .cpp.
   struct Workspace;
 
   /// Copy an fp64 source block (the H2Matrix's data) into the engine's
@@ -187,24 +186,18 @@ class UlvEngine {
     }
   }
 
+  /// The executor: emit one task per (phase, cluster), wire the true data
+  /// dependencies (plus the shape's barriers or trailing chain), and run
+  /// the DAG on a ThreadPool.
   void factorize(const H2Matrix& a);
   /// Pre-size every level's containers and pre-insert every map key, so the
   /// phase bodies only ever assign through stable references (required for
-  /// race-free concurrent execution; also what the loops did implicitly).
+  /// race-free concurrent execution).
   void prepare(Workspace& w);
-  /// Bulk-synchronous executor: phase loops with a barrier after every phase
-  /// and level (UlvExecutor::PhaseLoops, and all of Sequential mode).
-  void factorize_loops(const H2Matrix& a);
-  void process_level(Workspace& w, int level);
-  /// Dependency-driven executor: emit one task per (phase, cluster), wire
-  /// the true data dependencies, and run the DAG on a ThreadPool
-  /// (UlvExecutor::TaskDag, Parallel mode only).
-  void factorize_dag(const H2Matrix& a);
-  [[nodiscard]] bool task_dag_mode() const;
 
   // Phase bodies (single source of truth for the numerics). All bodies are
   // row-owned: a body with owner i writes only row-i state, so within a
-  // phase no two bodies touch the same block. See factorize_dag for the
+  // phase no two bodies touch the same block. See factorize for the
   // cross-phase write-set analysis behind the DAG's edges.
   void body_assemble(Workspace& w, int level, int i);
   void body_ry(Workspace& w, int level, int i);
@@ -213,6 +206,9 @@ class UlvEngine {
   void body_basis(Workspace& w, int level, int i);
   void body_project_row(Workspace& w, int level, int i);
   void body_eliminate(int level, int k);
+  /// Sequential mode's pivot task: body_eliminate plus the column strips
+  /// and every trailing-sub-matrix update of pivot k.
+  void body_eliminate_trailing(int level, int k);
   void body_col_solve(int level, int k);
   void body_schur(int level, int i, int j, bool admissible);
   void body_dropped(int level, int k);
@@ -224,16 +220,9 @@ class UlvEngine {
   /// coordinates of `level`, rounding to T at the leaves.
   auto current_rows(int level, int lid, ConstMatrixViewT<double> x_full) const
       -> Matrix;
-  void eliminate_block(int level, int k);
-  void eliminate_parallel(int level);
-  void eliminate_sequential(int level);
   std::vector<int> schur_k_list(int level, int i, int j) const;
 
-  void record_task(int level, const char* kind, int owner, double seconds);
   void add_dropped(double fro2);
-  /// Loop over [0, n): pool-parallel when factorize_loops resolved a pool
-  /// from the executor options (loops_pool_), serial otherwise.
-  void for_indices(int n, const std::function<void(int)>& fn) const;
 
   // ---- Block lifetime (docs/ARCHITECTURE.md "Block lifetime & memory").
   // Every block stored into factor or workspace state goes through these, so
@@ -250,8 +239,7 @@ class UlvEngine {
   /// through the BlockPool arena. The slot is left empty.
   void track_drop(Matrix& m);
 
-  // Per-resource releases, fired by the DAG's release tasks (TaskDag) or at
-  // the equivalent end-of-phase points (PhaseLoops). All gated on
+  // Per-resource releases, fired by the DAG's release tasks. All gated on
   // opt_.release_blocks by the callers.
   void release_ry_row(int level, int i);
   void release_skel_block(int level, int i, int j);
@@ -261,17 +249,18 @@ class UlvEngine {
   void release_level_remnants(Workspace& w, int level);
 
   // ---- Solve (ulv_solve.cpp). Like the factorization, the numerics live in
-  // per-cluster sbody_* methods — one source of truth consumed by the
-  // bulk-synchronous level sweep (solve_loops) and the task-DAG executor
-  // (solve_via_dag), which instantiates the recorded solve_dag_ plan.
+  // per-cluster sbody_* methods, run by the task DAG solve_via_dag
+  // instantiates from the recorded solve_dag_ plan.
   struct SolveScratch;
   void init_solve_scratch(SolveScratch& s, int nrhs) const;
-  [[nodiscard]] bool solve_dag_mode() const;
   /// Record the solve's task structure (forward sweep + reversed backward
-  /// mirror + critical-path priorities) into solve_dag_. Called once by the
-  /// constructor; O(#tasks + #edges), independent of nrhs.
+  /// mirror + the shape's barriers + critical-path priorities) into
+  /// solve_dag_. Called once by the constructor; O(#tasks + #edges),
+  /// independent of nrhs.
   void build_solve_plan();
-  void solve_loops(MatrixView b) const;
+  /// Instantiate the plan for one right-hand side block and run it on
+  /// `pool` — or inline on the calling thread when it is a worker of
+  /// `pool` (no ExecStats published then).
   void solve_via_dag(MatrixView b, ThreadPool& pool) const;
   // Forward-sweep bodies (Eqs. 16-19).
   void sbody_transform(SolveScratch& s, ConstMatrixView b, int level,
@@ -294,9 +283,8 @@ class UlvEngine {
   void spill_attach(const std::string& dir, std::uint64_t budget_bytes,
                     int io_threads);
   /// Hand level's final dense blocks to the store (called at the level's
-  /// remnant-release point; idempotent). Swallows store errors when running
-  /// inside a DAG task — they resurface from the next store entry point on
-  /// the constructor's thread.
+  /// remnant-release point; idempotent). A store error thrown inside the
+  /// release task surfaces on the constructor's thread like any task error.
   void spill_register_dense(int level);
   /// Adopt everything the per-level hook does not cover (q bases — read by
   /// current_rows until the last level drains — top_lu_, and all dense
@@ -320,7 +308,6 @@ class UlvEngine {
     ~SolveGuard();
     const UlvEngine* u_;
   };
-  void solve_loops_spill(SolveScratch& s, MatrixView b) const;
 
   /// Per-task body dispatch of the solve plan, fixed at recording time so
   /// per-solve instantiation is an array walk, not string comparisons.
@@ -334,16 +321,13 @@ class UlvEngine {
     kBwdXs,
     kBwdY,
     kBwdCombine,
+    kBarrier,  ///< PhaseLoops shape: no-op between phase groups
   };
 
   const ClusterTree* tree_ = nullptr;
   BlockStructure structure_;  // copied: the H2Matrix may be discarded
   UlvOptions opt_;
   int depth_ = 0;
-  /// Pool the bulk-synchronous phase loops parallelize on, resolved by
-  /// factorize_loops from executor/pool/n_workers (null = serial). Only
-  /// non-null while factorize_loops runs.
-  ThreadPool* loops_pool_ = nullptr;
   /// Total tracked block bytes owned by THIS factorization — what the
   /// destructor discharges from the process-wide blockmem counter.
   std::atomic<std::uint64_t> tracked_bytes_{0};
@@ -386,9 +370,10 @@ class UlvEngine {
   std::vector<std::array<SpillChunks, 5>> spill_plan_;
   int top_step_ = -1;
   int n_spill_steps_ = 0;
-  /// Step of every solve_dag_ task (parallel to solve_dag_.meta; empty under
-  /// the PhaseLoops solve executor) — solve_via_dag wires one barrier task
-  /// per step from it so a sweep never outruns the pinned window.
+  /// Step of every solve_dag_ task (parallel to solve_dag_.meta; -1 for the
+  /// PhaseLoops shape's barriers, which read nothing) — solve_via_dag wires
+  /// one step task per spill step from it so a sweep never outruns the
+  /// pinned window.
   std::vector<int> task_step_;
   std::uint64_t promote_budget_ = 0;
   bool demoted_ = false;

@@ -24,23 +24,25 @@ enum class UlvMode {
   /// order; Schur updates are applied to the trailing sub-matrix (all four
   /// S-parts of dense targets) and fill-ins into admissible targets are
   /// recompressed on the fly by projection onto the shared bases. Inherently
-  /// serial; kept as the ablation baseline.
+  /// serial; kept as the ablation baseline. Runs as the same task DAG with
+  /// each level's elimination replaced by a chain of one task per pivot.
   Sequential,
 };
 
-/// How the Parallel-mode factorization is executed. (Sequential mode is an
-/// inherently ordered ablation and always runs as plain loops.)
+/// Shape of the task DAG the factorization and the solve execute as. Both
+/// shapes run the same tasks (one per phase x cluster) through the one
+/// TaskGraph executor on a ThreadPool; they differ only in edges.
 enum class UlvExecutor {
-  /// Build the factorization as a dependency-counted TaskGraph — one task
-  /// per (phase, cluster) with fill→basis→project→eliminate edges inside a
-  /// block row, project→schur→merge edges toward the parent, and merge→fill
-  /// edges that let level L-1 start while level L drains — and execute it on
-  /// a ThreadPool. This is the runtime realization of the paper's "no
-  /// trailing sub-matrix dependencies" claim, and the default.
+  /// The free DAG: only the true data dependencies — fill→basis→project→
+  /// eliminate edges inside a block row, project→schur→merge edges toward
+  /// the parent, and merge→fill edges that let level L-1 start while level L
+  /// drains. This is the runtime realization of the paper's "no trailing
+  /// sub-matrix dependencies" claim, and the default.
   TaskDag,
-  /// Bulk-synchronous phase loops with a barrier after every phase and every
-  /// level (serial, or pool-parallel via the deprecated `use_threads`). Kept
-  /// as an ablation: same arithmetic, no inter-phase/inter-level overlap.
+  /// The bulk-synchronous ablation: the same DAG plus one no-op "barrier"
+  /// task per (level, phase) that every task of the phase feeds and every
+  /// task of the next phase waits on. Same arithmetic, no inter-phase or
+  /// inter-level overlap.
   PhaseLoops,
 };
 
@@ -63,7 +65,7 @@ enum class UlvSchedule {
 /// once where the H2Matrix's fp64 data enters the engine, and accuracy is
 /// recovered by fp64 iterative refinement at the facade (see
 /// SolverOptions::precision / core/refine). Determinism contracts are
-/// per-precision: fp32 runs are bitwise identical across executors,
+/// per-precision: fp32 runs are bitwise identical across DAG shapes,
 /// schedules, and worker counts, exactly like fp64 runs.
 enum class Precision : std::uint8_t { F64, F32 };
 
@@ -98,17 +100,10 @@ struct UlvOptions {
   /// mixed-precision factorization backend: blocks, spills, and solve sweeps
   /// in fp32 at half the bytes; pair with refinement for fp64 accuracy.
   Precision precision = Precision::F64;
-  /// Execution policy for Parallel mode (see UlvExecutor). Results are
-  /// bitwise identical across executors and worker counts: every task
-  /// performs the same block operations in the same order.
+  /// DAG shape of the factorization AND the solve (see UlvExecutor).
+  /// Results are bitwise identical across shapes and worker counts: every
+  /// task performs the same block operations in the same order.
   UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Execution policy of the SOLVE sweeps (Parallel mode): TaskDag (the
-  /// default) replays the solve DAG recorded at factorization time — the
-  /// forward sweep's block-row structure, reversed for the backward pass —
-  /// on the pool; PhaseLoops keeps the bulk-synchronous per-level sweep as
-  /// the ablation. Like the factorization, the two solve executors are
-  /// bitwise identical at any worker count and scheduling policy.
-  UlvExecutor solve_executor = UlvExecutor::TaskDag;
   /// Ready-queue discipline for the TaskDag pool. Applies to the pool the
   /// factorization creates (n_workers > 0, or a policy-mismatched global
   /// pool); an explicit `pool` brings its own policy, which wins. Scheduling
@@ -122,20 +117,14 @@ struct UlvOptions {
   /// n_workers = 1 when recording task durations for the scheduling
   /// simulator: replayed timings should be contention-free.
   int n_workers = 0;
-  /// Pool for the TaskDag executor and pool-parallel phase loops
-  /// (nullptr: by n_workers / the global pool).
+  /// Pool the task DAGs execute on (nullptr: by n_workers / the global
+  /// pool).
   ThreadPool* pool = nullptr;
-  /// Deprecated alias (pre-Executor API): `true` selects pool-parallel
-  /// bulk-synchronous phase loops. validate() maps it explicitly onto
-  /// `executor = solve_executor = PhaseLoops` (no silent behavior left in
-  /// the executor dispatch). Prefer `executor`/`n_workers`.
-  bool use_threads = false;
   /// Free every workspace block the moment its last consumer retires — as
-  /// reference-counted release tasks wired into the factorization DAG
-  /// (TaskDag), or as end-of-phase frees at the equivalent points of the
-  /// bulk-synchronous sweep (PhaseLoops) — with freed storage recycled
-  /// through the BlockPool arena. This is what keeps peak factorization
-  /// memory at O(a few active levels) instead of O(whole tree). `false`
+  /// reference-counted release tasks wired into the factorization DAG —
+  /// with freed storage recycled through the BlockPool arena. This is what
+  /// keeps peak factorization memory at O(a few active levels) instead of
+  /// O(whole tree). `false`
   /// retains every block until the factorization ends: the retain-everything
   /// ablation the peak-memory bench baselines against. Results are bitwise
   /// identical either way — releases only ever free dead blocks.
@@ -144,10 +133,10 @@ struct UlvOptions {
   /// components — the quantity the paper argues is negligible once the bases
   /// contain the fill-ins. Costs extra GEMMs; enable in tests/ablations.
   bool measure_dropped = false;
-  /// Record a per-task timing log (level, kind, owner cluster, seconds) used
-  /// by the distributed-memory scheduling simulator. Under the TaskDag
-  /// executor this additionally keeps the executed DAG (UlvStats::dag) and
-  /// its execution trace (UlvStats::exec).
+  /// Keep the executed factorization DAG (UlvStats::dag), its execution
+  /// trace (UlvStats::exec), and the per-task timing log derived from it
+  /// (UlvStats::tasks) — the input of the distributed-memory scheduling
+  /// simulator.
   bool record_tasks = false;
   /// Existing writable directory for the out-of-core factor store
   /// (src/storage). Empty (the default) keeps every factor block resident.
@@ -155,8 +144,8 @@ struct UlvOptions {
   /// background writers persist it, eviction keeps resident factor bytes at
   /// or under spill_budget_bytes, and a prefetcher reads blocks back ahead
   /// of each solve sweep's cursor. Spilling moves bytes, never transforms
-  /// them — results stay bitwise identical to the in-RAM run across both
-  /// executors and worker counts. Env default: H2_SPILL_DIR.
+  /// them — results stay bitwise identical to the in-RAM run across DAG
+  /// shapes and worker counts. Env default: H2_SPILL_DIR.
   std::string spill_dir;
   /// Resident budget (bytes) for spilled factor blocks; only meaningful with
   /// spill_dir set. 0 keeps nothing resident between sweeps (pure disk
@@ -187,13 +176,10 @@ struct UlvOptions {
                                          : ThreadPool::QueuePolicy::WorkSteal;
   }
 
-  /// Normalize and check the options; UlvFactorization runs this on its copy
-  /// before factorizing. Maps the deprecated `use_threads` alias onto
-  /// `executor = solve_executor = PhaseLoops` (its documented meaning — the
-  /// executor dispatch itself no longer special-cases the flag) and rejects
-  /// nonsensical inputs with std::invalid_argument instead of letting them
-  /// produce undefined behavior downstream.
-  void validate() {
+  /// Check the options; UlvFactorization runs this before factorizing.
+  /// Rejects nonsensical inputs with std::invalid_argument instead of
+  /// letting them produce undefined behavior downstream.
+  void validate() const {
     if (!(tol > 0.0))
       throw std::invalid_argument(
           "UlvOptions: tol must be > 0 (got " + std::to_string(tol) +
@@ -223,14 +209,11 @@ struct UlvOptions {
             std::to_string(spill_threads) +
             "); someone has to write the spill files (H2_SPILL_THREADS)");
     }
-    if (use_threads) {
-      executor = UlvExecutor::PhaseLoops;
-      solve_executor = UlvExecutor::PhaseLoops;
-    }
   }
 };
 
-/// One timed unit of factorization work (granularity = one block task).
+/// One timed unit of factorization work (granularity = one block task),
+/// derived from the execution trace.
 struct UlvTaskRecord {
   int level;         ///< tree level the task belongs to (0 = top)
   const char* kind;  ///< "fill", "basis", "project", "eliminate", ...
@@ -249,7 +232,7 @@ struct UlvStats {
   double setup_seconds = 0.0;  ///< fills + bases + projections
   std::uint64_t factor_flops = 0;
   /// High-water mark of tracked block bytes during the factorization
-  /// (blockmem window over the executor's span — both executors fill it),
+  /// (blockmem window over the DAG execution),
   /// and the bytes still live when it finished (the persistent factor:
   /// projected dense blocks, bases, pivots — what solve() needs). With
   /// release_blocks the peak stays near the final footprint; without it the
@@ -263,14 +246,16 @@ struct UlvStats {
   std::uint64_t spilled_blocks = 0;
   std::uint64_t spilled_bytes = 0;
   std::uint64_t spill_budget_bytes = 0;
-  /// Flat per-task timing log (only when record_tasks). Under TaskDag the
-  /// same tasks also appear in `exec` with wall-clock spans and in `dag`
-  /// with their true edge structure — the flat list stays for consumers
-  /// that only need (level, kind, owner, seconds) aggregates.
+  /// Flat per-task timing log (only when record_tasks), in task-id order:
+  /// the compute tasks of `exec` (project_lr, fill, basis, project,
+  /// eliminate, col_solve, schur, merge, top) as (level, kind, owner,
+  /// seconds) rows, for consumers that only need per-kind aggregates. The
+  /// dependency-free ry/assemble roots and the release and barrier control
+  /// tasks are left out.
   std::vector<UlvTaskRecord> tasks;
-  /// The executed factorization DAG (TaskDag executor + record_tasks): the
-  /// one structure shared by the real execution, the Fig. 13 trace, and the
-  /// src/dist scheduling simulator.
+  /// The executed factorization DAG (record_tasks): the one structure
+  /// shared by the real execution, the Fig. 13 trace, and the src/dist
+  /// scheduling simulator.
   DagRecord dag;
   /// Execution trace of `dag` (worker lanes + spans).
   ExecStats exec;

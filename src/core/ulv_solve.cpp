@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <atomic>
+#include <functional>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -17,10 +17,9 @@ namespace h2 {
 
 /// Per-solve working state: the right-hand side as it migrates through the
 /// levels (Eqs. 16-19). One instance per solve call, so concurrent solves on
-/// one factorization never share mutable state. Unlike the old rolling
-/// per-level buffer, the migrating vectors are stored PER LEVEL so the DAG
-/// executor can overlap levels without write-after-read hazards; the level
-/// sweep fills them in the same order the rolling buffer did.
+/// one factorization never share mutable state. The migrating vectors are
+/// stored PER LEVEL so the DAG can overlap levels without write-after-read
+/// hazards.
 template <class T>
 struct UlvEngine<T>::SolveScratch {
   int nrhs = 1;
@@ -63,11 +62,10 @@ void UlvEngine<T>::init_solve_scratch(UlvEngine<T>::SolveScratch& s, int nrhs) c
 }
 
 // ---------------------------------------------------------------------------
-// Solve bodies — one (phase, cluster) unit each, shared by both executors.
-// Every migrating block has a single totally-ordered writer chain
-// (transform -> subst -> y for z, transform -> down for s, ...), so any
-// executor that respects the recorded edges reproduces the level sweep
-// bitwise.
+// Solve bodies — one (phase, cluster) unit each. Every migrating block has
+// a single totally-ordered writer chain (transform -> subst -> y for z,
+// transform -> down for s, ...), so any schedule that respects the recorded
+// edges produces the same bits.
 //
 // Every body doing arithmetic opens a WidthStableScope gated on
 // opt_.width_stable_solve, making its gemm dispatch independent of nrhs
@@ -222,84 +220,8 @@ void UlvEngine<T>::sbody_combine(UlvEngine<T>::SolveScratch& s, MatrixView b, in
 }
 
 // ---------------------------------------------------------------------------
-// Executors.
+// Plan and execution.
 // ---------------------------------------------------------------------------
-
-template <class T>
-bool UlvEngine<T>::solve_dag_mode() const {
-  // Sequential mode is the inherently ordered ablation: its solve stays a
-  // plain sweep, like its factorization. use_threads was normalized onto
-  // PhaseLoops by UlvOptions::validate().
-  return opt_.mode == UlvMode::Parallel &&
-         opt_.solve_executor == UlvExecutor::TaskDag && depth_ > 0;
-}
-
-template <class T>
-void UlvEngine<T>::solve_loops(MatrixView b) const {
-  // Bulk-synchronous ablation: the per-level sweeps, one phase at a time —
-  // exactly the bodies the DAG executes, in one fixed serial order.
-  SolveScratch s;
-  init_solve_scratch(s, b.cols());
-  if (store_ != nullptr && n_spill_steps_ > 0) {
-    solve_loops_spill(s, b);
-    return;
-  }
-  for (int level = depth_; level >= 1; --level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_transform(s, b, level, c);
-    for (int k = 0; k < nb; ++k) sbody_subst(s, level, k);
-    for (int i = 0; i < nb; ++i) sbody_down(s, level, i);
-    for (int p = 0; p < nb / 2; ++p) sbody_merge(s, level, p);
-  }
-  sbody_top(s);
-  for (int level = 1; level <= depth_; ++level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_xsplit(s, level, c);
-    for (int k = nb - 1; k >= 0; --k) sbody_y(s, level, k);
-    for (int c = 0; c < nb; ++c) sbody_combine(s, b, level, c);
-  }
-}
-
-template <class T>
-void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s, MatrixView b) const {
-  // The level sweep walking the spill plan: the SAME bodies in the SAME
-  // order, with a Pass advancing the pinned window one chunk at a time so
-  // each phase only needs its current chunk of factor blocks resident.
-  // sbody_merge and sbody_xsplit read no factor blocks and run unpinned.
-  SpillStore::Pass pass(*store_);
-  for (int level = depth_; level >= 1; --level) {
-    const int nb = levels_[level].nb;
-    for (const auto& ch : spill_plan_[level][0].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_transform(s, b, level, j);
-    }
-    for (const auto& ch : spill_plan_[level][1].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_subst(s, level, j);
-    }
-    for (const auto& ch : spill_plan_[level][2].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_down(s, level, j);
-    }
-    for (int p = 0; p < nb / 2; ++p) sbody_merge(s, level, p);
-  }
-  pass.advance(top_step_);
-  sbody_top(s);
-  for (int level = 1; level <= depth_; ++level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_xsplit(s, level, c);
-    // bwd_y's substitution chain runs k = nb-1 .. 0; its chunks were laid
-    // out in that (descending) iteration order.
-    for (const auto& ch : spill_plan_[level][3].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_y(s, level, nb - 1 - j);
-    }
-    for (const auto& ch : spill_plan_[level][4].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_combine(s, b, level, j);
-    }
-  }
-}
 
 template <class T>
 void UlvEngine<T>::build_spill_plan() {
@@ -310,8 +232,9 @@ void UlvEngine<T>::build_spill_plan() {
   // large enough to amortize the step barrier. Every solve body's factor
   // reads are row-local ({row,*} dense keys plus the row's basis), so a
   // chunk's slot list is exact, and the phase orders match the recorded
-  // solve edges (subst ascends, y descends), so the per-step barrier tasks
-  // solve_via_dag adds can never create a cycle.
+  // solve edges (subst ascends, y descends), so the per-step tasks
+  // solve_via_dag adds can never create a cycle (see the merge note below
+  // for the PhaseLoops shape).
   std::vector<std::vector<SpillStore::SlotId>> steps;
   if (depth_ == 0) {
     n_spill_steps_ = 0;
@@ -389,7 +312,12 @@ void UlvEngine<T>::build_spill_plan() {
   // Step of every recorded solve task. Tasks without factor reads ride on a
   // step that respects their edges: merges on the down chunk of their odd
   // child; bwd_split/bwd_xs on their level's first y step (every y step of
-  // the level is at or after it, every combine strictly after).
+  // the level is at or after it, every combine strictly after). Under the
+  // PhaseLoops shape a merge waits for its level's whole down phase, so it
+  // rides the LAST down chunk instead — an earlier step would put the step
+  // task after it in front of down tasks it waits on (a cycle). The shape's
+  // barriers read nothing and stay off the steps (-1).
+  const bool bulk = opt_.executor == UlvExecutor::PhaseLoops;
   if (!solve_dag_.empty()) {
     task_step_.assign(solve_dag_.n_tasks(), -1);
     for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
@@ -405,7 +333,8 @@ void UlvEngine<T>::build_spill_plan() {
           task_step_[t] = spill_plan_[l][2].step_of[o];
           break;
         case SolveKind::kFwdMerge:
-          task_step_[t] = spill_plan_[l][2].step_of[2 * o + 1];
+          task_step_[t] = bulk ? spill_plan_[l][2].chunks.back()[0]
+                               : spill_plan_[l][2].step_of[2 * o + 1];
           break;
         case SolveKind::kTop:
           task_step_[t] = top_step_;
@@ -419,6 +348,8 @@ void UlvEngine<T>::build_spill_plan() {
           break;
         case SolveKind::kBwdCombine:
           task_step_[t] = spill_plan_[l][4].step_of[o];
+          break;
+        case SolveKind::kBarrier:
           break;
       }
     }
@@ -450,6 +381,8 @@ void UlvEngine<T>::build_solve_plan() {
   };
   std::vector<std::vector<TaskId>> t_xf(d + 1), t_su(d + 1), t_dn(d + 1),
       t_mg(d + 1);
+  // Forward (level, phase) groups in sweep order, for the PhaseLoops shape.
+  std::vector<std::vector<TaskId>> phases;
   std::vector<std::pair<TaskId, TaskId>> fwd_edges;
   auto edge = [&fwd_edges](TaskId u, TaskId v) { fwd_edges.emplace_back(u, v); };
 
@@ -483,6 +416,8 @@ void UlvEngine<T>::build_solve_plan() {
       edge(t_dn[level][2 * p], t_mg[level][p]);
       edge(t_dn[level][2 * p + 1], t_mg[level][p]);
     }
+    for (auto* group : {&t_xf, &t_su, &t_dn, &t_mg})
+      phases.push_back((*group)[level]);
   }
   const TaskId t_top = add(SolveKind::kTop, "top", 0, 0);
   edge(t_mg[1][0], t_top);
@@ -515,6 +450,21 @@ void UlvEngine<T>::build_solve_plan() {
     else
       rec.successors[bwd(v)].push_back(bwd(u));
   }
+  // Bulk-synchronous shape: the backward groups are the forward groups'
+  // twins in reverse order (split, xs, y, combine per level, root first).
+  if (opt_.executor == UlvExecutor::PhaseLoops) {
+    const std::size_t n_fwd = phases.size();
+    phases.push_back({t_top});
+    for (std::size_t i = n_fwd; i-- > 0;) {
+      std::vector<TaskId> twins;
+      for (const TaskId t : phases[i]) twins.push_back(bwd(t));
+      phases.push_back(std::move(twins));
+    }
+    add_phase_barriers(
+        phases,
+        [&add] { return add(SolveKind::kBarrier, "barrier", -1, -1); },
+        [&rec](TaskId u, TaskId v) { rec.successors[u].push_back(v); });
+  }
   // Priorities follow the same knob as the factorization: under
   // UlvPriority::None the record carries none (per DagRecord's contract),
   // so the None-vs-CriticalPath scheduling ablation covers the solve too.
@@ -529,17 +479,13 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
   SolveScratch s;
   init_solve_scratch(s, b.cols());
   TaskGraph g;
-  // Out-of-core: one barrier task per spill step advances the Pass (release
-  // step s-1, pin step s); every solve task runs between its step's barrier
-  // and the next, so the sweep's reads are always pinned and the prefetcher
-  // always knows the cursor. A store failure must not throw on a pool
-  // worker — the barrier catches it, later tasks degrade to no-ops, and the
-  // exception rethrows on this (the calling) thread after execution drains.
+  // Out-of-core: one step task per spill step advances the Pass (release
+  // step s-1, pin step s); every solve task runs between its step's task
+  // and the next, so the sweep's reads are always pinned and the
+  // prefetcher always knows the cursor. A store failure is a task error
+  // like any other: the graph drains and it rethrows here.
   const bool ooc = store_ != nullptr && n_spill_steps_ > 0;
   std::optional<SpillStore::Pass> pass;
-  std::atomic<bool> aborted{false};
-  std::exception_ptr spill_err;
-  std::mutex spill_err_mu;
   if (ooc) pass.emplace(*store_);
   for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
     const TaskMeta& m = solve_dag_.meta[t];
@@ -561,9 +507,6 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
       case SolveKind::kTop:
         fn = [this, &s] { sbody_top(s); };
         break;
-      case SolveKind::kBwdSplit:
-        fn = [] {};  // gate: children read their parent sub-blocks in bwd_xs
-        break;
       case SolveKind::kBwdXs:
         fn = [this, &s, level, id] { sbody_xsplit(s, level, id); };
         break;
@@ -573,55 +516,51 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
       case SolveKind::kBwdCombine:
         fn = [this, &s, b, level, id] { sbody_combine(s, b, level, id); };
         break;
+      case SolveKind::kBwdSplit:  // gate: children read their parent sub-
+      case SolveKind::kBarrier:   // blocks directly in bwd_xs
+        fn = [] {};
+        break;
     }
-    if (ooc)
-      fn = [body = std::move(fn), &aborted] {
-        if (!aborted.load(std::memory_order_acquire)) body();
-      };
     g.add_task(std::move(fn), m.label, m.owner, m.level);
   }
   for (TaskId u = 0; u < solve_dag_.n_tasks(); ++u)
     for (const TaskId v : solve_dag_.successors[u]) g.add_dependency(u, v);
   for (std::size_t t = 0; t < solve_dag_.priority.size(); ++t)
     g.set_priority(static_cast<TaskId>(t), solve_dag_.priority[t]);
-  SpillStats ss0;
   if (ooc) {
-    ss0 = store_->stats();
-    // Barriers outrank every real task: once a step's work is done, the
+    // Step tasks outrank every real task: once a step's work is done, the
     // window must move before stragglers of the same priority band run.
-    double bar_priority = 0.0;
+    double step_priority = 0.0;
     if (!solve_dag_.priority.empty())
-      bar_priority = 1.0 + *std::max_element(solve_dag_.priority.begin(),
-                                             solve_dag_.priority.end());
-    std::vector<TaskId> bar(n_spill_steps_);
+      step_priority = 1.0 + *std::max_element(solve_dag_.priority.begin(),
+                                              solve_dag_.priority.end());
+    std::vector<TaskId> step(n_spill_steps_);
     for (int st = 0; st < n_spill_steps_; ++st) {
-      bar[st] = g.add_task(
-          [&pass, &aborted, &spill_err, &spill_err_mu, st] {
-            if (aborted.load(std::memory_order_acquire)) return;
-            try {
-              pass->advance(st);
-            } catch (...) {
-              {
-                std::lock_guard<std::mutex> lk(spill_err_mu);
-                if (!spill_err) spill_err = std::current_exception();
-              }
-              aborted.store(true, std::memory_order_release);
-            }
-          },
-          "spill_step", st, -1);
-      if (st > 0) g.add_dependency(bar[st - 1], bar[st]);
-      if (!solve_dag_.priority.empty()) g.set_priority(bar[st], bar_priority);
+      step[st] = g.add_task([&pass, st] { pass->advance(st); }, "spill_step",
+                            st, -1);
+      if (st > 0) g.add_dependency(step[st - 1], step[st]);
+      if (!solve_dag_.priority.empty()) g.set_priority(step[st], step_priority);
     }
     for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
       const int st = task_step_[t];
-      g.add_dependency(bar[st], t);
-      if (st + 1 < n_spill_steps_) g.add_dependency(t, bar[st + 1]);
+      if (st < 0) continue;
+      g.add_dependency(step[st], t);
+      if (st + 1 < n_spill_steps_) g.add_dependency(t, step[st + 1]);
     }
   }
+  if (&pool == ThreadPool::current()) {
+    // A solve running ON a worker of its own pool (a pipelined solve_async
+    // batch) cannot block on that pool: run the same graph on this thread,
+    // in topological order — whole solves then pipeline across the pool's
+    // workers instead of splitting one solve into tasks. Same bits; no
+    // trace is published.
+    g.run_inline();
+    return;
+  }
+  const SpillStats ss0 = ooc ? store_->stats() : SpillStats{};
   ExecStats ex = g.execute(pool);
   if (ooc) {
-    pass.reset();  // release the last step before surfacing anything
-    if (spill_err) std::rethrow_exception(spill_err);
+    pass.reset();  // release the last step before reading the counters
     const SpillStats ss1 = store_->stats();
     ex.prefetch_hits = ss1.step_hits - ss0.step_hits;
     ex.prefetch_misses = ss1.step_misses - ss0.step_misses;
@@ -668,10 +607,6 @@ void UlvEngine<T>::solve(MatrixView b) const {
     getrs(top_lu_, top_piv_, b);
     return;
   }
-  if (!solve_dag_mode()) {
-    solve_loops(b);
-    return;
-  }
   // Pool selection: the caller's pool; else the owned solve pool when the
   // (WorkSteal-only) global pool does not fit — n_workers > 0 or a Fifo
   // schedule — created on the FIRST solve and reused for every later one;
@@ -691,14 +626,6 @@ void UlvEngine<T>::solve(MatrixView b) const {
       pool = &ThreadPool::global();
     }
   }
-  if (pool == ThreadPool::current()) {
-    // A solve running ON a worker of its own pool (a pipelined solve_async
-    // batch) cannot block on that pool; the sweep is bitwise identical, so
-    // run it inline — whole solves then pipeline across the pool's workers
-    // instead of splitting one solve into tasks.
-    solve_loops(b);
-    return;
-  }
   solve_via_dag(b, *pool);
 }
 
@@ -709,12 +636,8 @@ void UlvEngine<T>::solve(MatrixView b) const {
 #define H2_INSTANTIATE_ULV_SOLVE(T)                                            \
   template void UlvEngine<T>::init_solve_scratch(UlvEngine<T>::SolveScratch& s, int nrhs)    \
       const;                                                                   \
-  template bool UlvEngine<T>::solve_dag_mode() const;                          \
   template void UlvEngine<T>::build_solve_plan();                              \
   template void UlvEngine<T>::build_spill_plan();                              \
-  template void UlvEngine<T>::solve_loops(MatrixViewT<T> b) const;             \
-  template void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s,               \
-                                                MatrixViewT<T> b) const;       \
   template void UlvEngine<T>::solve_via_dag(MatrixViewT<T> b,                  \
                                             ThreadPool& pool) const;           \
   template void UlvEngine<T>::sbody_transform(UlvEngine<T>::SolveScratch& s,                 \

@@ -2,70 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace h2 {
 
 ScheduleInput UlvDistModel::replay_input() const {
   ScheduleInput in;
-  if (stats == nullptr) return in;
+  if (!has_recorded_dag()) return in;
 
-  // Preferred path: the factorization ran under the TaskDag executor and
-  // recorded its real DAG — replay the measured durations through the TRUE
-  // edge structure (fill→basis→project→eliminate per block row, schur→merge
-  // toward the parent, merge→fill across levels), so simulated schedules
-  // overlap phases and levels exactly where the real execution may.
-  if (has_recorded_dag()) {
-    const int n = stats->dag.n_tasks();
-    in.durations.assign(n, 0.0);
-    for (const TaskRecord& r : stats->exec.records)
-      if (r.id >= 0 && r.id < n) in.durations[r.id] = r.duration();
-    in.successors = stats->dag.successors;
-    in.out_bytes = stats->dag.out_bytes;  // empty when none were recorded
-    // The factorization's release tasks ("release"/"release_level") are pure
-    // control flow: their edges only say "the last consumer retired, the
-    // blocks may be freed" — no data crosses ranks on them (the consumers'
-    // real outputs were charged on the consumer edges already). Mark them so
-    // list_schedule skips the alpha-beta charge into them.
-    in.control_sink.assign(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < n; ++i)
-      if (stats->dag.meta[static_cast<std::size_t>(i)].label.rfind(
-              "release", 0) == 0)
-        in.control_sink[static_cast<std::size_t>(i)] = 1;
-    return in;
-  }
-  if (stats->tasks.empty()) return in;
-
-  const auto add_task = [&](double seconds) {
-    in.durations.push_back(seconds);
-    in.successors.emplace_back();
-    return static_cast<int>(in.durations.size()) - 1;
-  };
-
-  // Fallback (flat UlvTaskRecord log, e.g. the PhaseLoops executor): tasks
-  // are recorded in serial execution order; a change of (level, kind) marks
-  // a phase boundary. Tasks inside one phase are independent block-row work
-  // (the paper's point: no trailing sub-matrix dependencies), so they only
-  // chain through zero-duration barrier tasks between phases.
-  std::vector<int> group;
-  int last_barrier = -1;
-  int prev_level = 0;
-  const char* prev_kind = nullptr;
-  for (const UlvTaskRecord& rec : stats->tasks) {
-    const bool new_group =
-        prev_kind == nullptr ||
-        (rec.level != prev_level || std::strcmp(rec.kind, prev_kind) != 0);
-    if (new_group && !group.empty()) {
-      const int barrier = add_task(0.0);
-      for (const int t : group) in.successors[t].push_back(barrier);
-      group.clear();
-      last_barrier = barrier;
-    }
-    const int t = add_task(rec.seconds);
-    if (last_barrier >= 0) in.successors[last_barrier].push_back(t);
-    group.push_back(t);
-    prev_level = rec.level;
-    prev_kind = rec.kind;
+  // Replay the measured durations through the TRUE recorded edge structure
+  // (fill→basis→project→eliminate per block row, schur→merge toward the
+  // parent, merge→fill across levels), so simulated schedules overlap
+  // phases and levels exactly where the real execution may.
+  const int n = stats->dag.n_tasks();
+  in.durations.assign(n, 0.0);
+  for (const TaskRecord& r : stats->exec.records)
+    if (r.id >= 0 && r.id < n) in.durations[r.id] = r.duration();
+  in.successors = stats->dag.successors;
+  in.out_bytes = stats->dag.out_bytes;  // empty when none were recorded
+  // The release tasks ("release"/"release_level") and the bulk-synchronous
+  // shape's "barrier" tasks are pure control flow: their incoming edges
+  // only say "the consumers retired" or "the phase is done" — no data
+  // crosses ranks on them (the real outputs were charged on the consumer
+  // edges already). Mark them so list_schedule skips the alpha-beta charge
+  // into them.
+  in.control_sink.assign(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const std::string& label = stats->dag.meta[k].label;
+    if (label.rfind("release", 0) == 0 || label == "barrier")
+      in.control_sink[k] = 1;
   }
   return in;
 }

@@ -32,8 +32,9 @@ enum class CommCharging {
 ///    replays the recorded per-task durations through the ULV's true
 ///    dependency structure — within a phase of a level (fill, basis,
 ///    project, eliminate, merge) every block row is independent (the
-///    paper's Sec. III contribution), while consecutive phases are
-///    separated by a barrier. No task-runtime overhead is charged: the
+///    paper's Sec. III contribution), and consecutive phases and levels
+///    are ordered only by the recorded edges. No task-runtime overhead is
+///    charged: the
 ///    static structure needs no dynamic dependency tracking.
 ///  - Fig. 12 (leaf size): smaller leaves mean more block rows per phase,
 ///    i.e. wider phase groups in the replayed DAG.
@@ -49,14 +50,12 @@ struct UlvDistModel {
   const UlvStats* stats = nullptr;            ///< must outlive the model
   const BlockStructure* structure = nullptr;  ///< must outlive the model
 
-  /// The recorded task DAG as simulator input. When the factorization ran
-  /// under the TaskDag executor (UlvStats::dag/exec populated), this is the
-  /// REAL executed DAG — measured durations on the true edge structure, so
-  /// simulated schedules respect (only) the actual dependencies and may
-  /// overlap phases and levels. Otherwise it falls back to the flat
-  /// UlvTaskRecord log: one task per recorded block task, consecutive
-  /// (level, kind) runs forming independent phase groups separated by
-  /// zero-duration barrier tasks.
+  /// The recorded task DAG as simulator input: the REAL executed DAG
+  /// (UlvStats::dag/exec, populated by record_tasks) — measured durations on
+  /// the true edge structure, so simulated schedules respect (only) the
+  /// actual dependencies and may overlap phases and levels (or, for the
+  /// bulk-synchronous shape, wait at its recorded barriers). Empty when no
+  /// DAG was recorded.
   [[nodiscard]] ScheduleInput replay_input() const;
 
   /// replay_input() made rank-aware for p ranks: every task pinned to its
@@ -64,16 +63,15 @@ struct UlvDistModel {
   /// simulator consumer uses) and carrying the block payload the
   /// factorization recorded per task (ScheduleInput::out_bytes), so
   /// list_schedule charges the CommModel on exactly the cross-rank edges.
-  /// Requires the real recorded DAG; with only the flat fallback log (no
-  /// per-task owner/level/payload) the input comes back unpinned, equal to
-  /// replay_input().
+  /// Requires the recorded DAG and a non-null `structure`; otherwise the
+  /// input comes back unpinned, equal to replay_input().
   [[nodiscard]] ScheduleInput distributed_input(int p) const;
 
-  /// Whether a real recorded DAG backs this model (TaskDag executor with
-  /// record_tasks). EdgeCharged charging needs this AND a non-null
-  /// `structure` (the rank map reads the tree depth from it); when either
-  /// is missing, time() silently falls back to Analytic and
-  /// distributed_input() comes back unpinned.
+  /// Whether a real recorded DAG backs this model (record_tasks).
+  /// EdgeCharged charging needs this AND a non-null `structure` (the rank
+  /// map reads the tree depth from it); when either is missing, time()
+  /// silently falls back to Analytic and distributed_input() comes back
+  /// unpinned.
   [[nodiscard]] bool has_recorded_dag() const;
 
   /// Predicted factorization time on p shared-memory cores (no

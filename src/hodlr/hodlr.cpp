@@ -95,16 +95,6 @@ void HodlrMatrix::solve(MatrixView b) const {
   solve_node(0, 0, b);
 }
 
-void HodlrMatrix::round_storage_to_fp32() {
-  for (Node& nd : nodes_) {
-    round_through_f32(nd.lu);
-    round_through_f32(nd.w);
-    round_through_f32(nd.dw);
-    round_through_f32(nd.z);
-    round_through_f32(nd.cap_lu);
-  }
-}
-
 double HodlrMatrix::logabsdet() const {
   // det A = prod_leaves det(LU) * prod_internal det(K).
   double acc = 0.0;

@@ -42,12 +42,6 @@ class HodlrMatrix {
   /// In-place solve A x = b, b is n x nrhs in tree ordering.
   void solve(MatrixView b) const;
 
-  /// Round every stored factor entry through fp32: emulates fp32 factor
-  /// storage for the mixed-precision facade — the perturbed telescope still
-  /// solves, and fp64 refinement against the original operator recovers the
-  /// accuracy (Solver under Precision::F32).
-  void round_storage_to_fp32();
-
   /// log|det A| from the leaf LUs and capacitance LUs.
   [[nodiscard]] double logabsdet() const;
 

@@ -12,9 +12,9 @@
 /// This translation unit is compiled with the best SIMD flags the host
 /// compiler supports (-march=native when available, see CMakeLists), so the
 /// per-arch tile constants below are chosen by the instruction set actually
-/// in play. Results are deterministic for a given build, and both DAG
-/// executors share this single code path — bitwise identity across executors
-/// and worker counts is preserved. Results are NOT bitwise-stable against
+/// in play. Results are deterministic for a given build, and every DAG
+/// shape runs this single code path — bitwise identity across shapes and
+/// worker counts is preserved. Results are NOT bitwise-stable against
 /// the retained naive kernels (different summation order); tests compare the
 /// two within floating-point tolerance.
 namespace h2 {

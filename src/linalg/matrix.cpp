@@ -134,14 +134,6 @@ Matrix to_f64(ConstMatrixViewF src) {
   return out;
 }
 
-void round_through_f32(MatrixView m) {
-  for (int j = 0; j < m.cols(); ++j) {
-    double* col = m.col(j);
-    for (int i = 0; i < m.rows(); ++i)
-      col[i] = static_cast<double>(static_cast<float>(col[i]));
-  }
-}
-
 Matrix hconcat(const std::vector<ConstMatrixView>& blocks) {
   return hconcat_impl(blocks);
 }

@@ -206,10 +206,6 @@ void convert_into(ConstMatrixViewF src, MatrixView dst);
 /// Whole-matrix conversions built on convert_into.
 [[nodiscard]] MatrixF to_f32(ConstMatrixView src);
 [[nodiscard]] Matrix to_f64(ConstMatrixViewF src);
-/// Round every entry through fp32 in place (x = double(float(x))): the
-/// storage-rounding primitive backends without a native fp32 engine
-/// (BLR/HODLR) use to emulate fp32 factor storage under Precision::F32.
-void round_through_f32(MatrixView m);
 
 /// Horizontal concatenation [A0 A1 ...]; all blocks share the row count.
 Matrix hconcat(const std::vector<ConstMatrixView>& blocks);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <exception>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -96,7 +97,7 @@ void TaskGraph::add_dependency(TaskId before, TaskId after) {
   ++n_predecessors_[after];
 }
 
-void TaskGraph::throw_if_cyclic() const {
+std::vector<TaskId> TaskGraph::topological_order() const {
   // Kahn's algorithm on the static structure: anything a topological sweep
   // cannot reach sits on (or behind) a cycle and would deadlock execution.
   const int n = n_tasks();
@@ -108,7 +109,7 @@ void TaskGraph::throw_if_cyclic() const {
   for (std::size_t head = 0; head < order.size(); ++head)
     for (const TaskId succ : successors_[order[head]])
       if (--degree[succ] == 0) order.push_back(succ);
-  if (static_cast<int>(order.size()) == n) return;
+  if (static_cast<int>(order.size()) == n) return order;
 
   const int stuck = n - static_cast<int>(order.size());
   std::ostringstream msg;
@@ -129,6 +130,12 @@ void TaskGraph::throw_if_cyclic() const {
   throw std::logic_error(msg.str());
 }
 
+void TaskGraph::run_inline() {
+  if (executed_) throw std::logic_error("TaskGraph::run_inline called twice");
+  executed_ = true;
+  for (const TaskId id : topological_order()) tasks_[id]();
+}
+
 ExecStats TaskGraph::execute(ThreadPool& pool) {
   if (executed_) throw std::logic_error("TaskGraph::execute called twice");
   if (ThreadPool::current() == &pool)
@@ -137,7 +144,7 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
         "caller would block on work queued behind itself (use a different "
         "pool, as UlvFactorization's fallback does)");
   executed_ = true;
-  throw_if_cyclic();
+  (void)topological_order();  // throws on cycles before any task runs
   const int n = n_tasks();
 
   ExecStats stats;
@@ -155,6 +162,12 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
   std::mutex done_mutex;
   std::condition_variable done_cv;
   bool done = (n == 0);
+  // First task exception. Once set, the remaining bodies are skipped but
+  // their successors are still released, so the graph drains and the
+  // exception surfaces on the caller instead of terminating a worker.
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  std::atomic<bool> failed{false};
 
   // Block-byte measurement window (see ExecStats::peak_block_bytes).
   blockmem::reset_peak();
@@ -170,7 +183,15 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
     rec.level = meta_[id].level;
     rec.label = meta_[id].label;
     rec.t_start = now_sec();
-    tasks_[id]();
+    if (!failed.load(std::memory_order_acquire)) {
+      try {
+        tasks_[id]();
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(error_mutex);
+        if (!error) error = std::current_exception();
+        failed.store(true, std::memory_order_release);
+      }
+    }
     rec.t_end = now_sec();
     // Release the newly ready successors lowest priority FIRST: on a
     // work-stealing pool each push lands on this worker's LIFO deque, so the
@@ -208,6 +229,7 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
 
   if (remaining.load() != 0)
     throw std::logic_error("TaskGraph: tasks left unexecuted after drain");
+  if (error) std::rethrow_exception(error);
   for (const auto& rec : stats.records) stats.useful_seconds += rec.duration();
 
   const std::vector<ThreadPool::WorkerCounters> counters1 =

@@ -118,6 +118,28 @@ std::vector<double> bottom_levels(int n_tasks,
                                   const std::vector<double>& durations = {},
                                   double per_task_overhead = 0.0);
 
+/// Overlay the bulk-synchronous shape on a DAG under construction: between
+/// every two consecutive non-empty `phases` (task groups listed in an order
+/// every existing edge already respects), one barrier task minted by
+/// `add_barrier()` that every task of the earlier group feeds and every task
+/// of the later group waits on; `add_edge(before, after)` wires the edges.
+/// Works on any graph representation (TaskGraph, DagRecord) through the
+/// two callbacks.
+template <class AddBarrier, class AddEdge>
+void add_phase_barriers(const std::vector<std::vector<TaskId>>& phases,
+                        AddBarrier&& add_barrier, AddEdge&& add_edge) {
+  const std::vector<TaskId>* before = nullptr;
+  for (const std::vector<TaskId>& group : phases) {
+    if (group.empty()) continue;
+    if (before != nullptr) {
+      const TaskId b = add_barrier();
+      for (const TaskId t : *before) add_edge(t, b);
+      for (const TaskId t : group) add_edge(b, t);
+    }
+    before = &group;
+  }
+}
+
 /// A one-shot dependency-counted task DAG (PaRSEC/StarPU substitute).
 ///
 /// Tasks become ready when all their predecessors finish; ready tasks are
@@ -201,7 +223,23 @@ class TaskGraph {
   /// message names the stuck tasks), or when called from a worker of `pool`
   /// itself: execute() blocks the calling thread, so a pool draining into
   /// itself can deadlock silently — the guard turns that into an error.
+  /// A task that throws does not take the process down: the first
+  /// exception is captured, the bodies of the tasks still pending are
+  /// skipped (their successors are still released, so the graph drains),
+  /// and the exception is rethrown here, on the caller.
   ExecStats execute(ThreadPool& pool);
+
+  /// Run the whole DAG on the calling thread, one task at a time in
+  /// topological_order() — for callers that are themselves running on the
+  /// pool they would otherwise execute on. Records no ExecStats; a task's
+  /// exception propagates directly. Can only be called once (shares the
+  /// one-shot guard with execute()).
+  void run_inline();
+
+  /// A topological order of the tasks (Kahn's algorithm, roots in id
+  /// order, breadth first). Throws std::logic_error naming the stuck tasks
+  /// when dependency cycles make part of the graph unexecutable.
+  [[nodiscard]] std::vector<TaskId> topological_order() const;
 
   /// Convenience overload: execute on a freshly spawned pool of `n_threads`
   /// workers that lives only for this call.
@@ -213,8 +251,6 @@ class TaskGraph {
   static bool write_trace_csv(const ExecStats& stats, const std::string& path);
 
  private:
-  void throw_if_cyclic() const;
-
   std::vector<std::function<void()>> tasks_;
   std::vector<TaskMeta> meta_;
   std::vector<std::vector<TaskId>> successors_;

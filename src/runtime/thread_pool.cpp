@@ -217,49 +217,4 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(int begin, int end, const std::function<void(int)>& fn,
-                  ThreadPool* pool) {
-  const int n = end - begin;
-  if (n <= 0) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  if (pool->size() <= 1 || n == 1) {
-    for (int i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  // Dynamic self-scheduling over indices. All state is shared-owned so that
-  // straggler workers stay valid after the caller has been released.
-  struct State {
-    std::function<void(int)> fn;
-    int end;
-    std::atomic<int> next;
-    std::atomic<int> remaining;
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  auto st = std::make_shared<State>();
-  st->fn = fn;
-  st->end = end;
-  st->next.store(begin);
-  st->remaining.store(n);
-
-  const int n_tasks = std::min(pool->size(), n);
-  for (int t = 0; t < n_tasks; ++t) {
-    pool->submit([st] {
-      for (;;) {
-        const int i = st->next.fetch_add(1);
-        if (i >= st->end) break;
-        st->fn(i);
-        if (st->remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> lk(st->mutex);
-          st->done = true;
-          st->cv.notify_all();
-        }
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lk(st->mutex);
-  st->cv.wait(lk, [&] { return st->done; });
-}
-
 }  // namespace h2

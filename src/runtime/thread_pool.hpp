@@ -155,10 +155,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Run fn(i) for i in [begin, end) across the pool (caller blocks).
-/// Falls back to a plain loop when the pool has a single worker or the
-/// range is tiny.
-void parallel_for(int begin, int end, const std::function<void(int)>& fn,
-                  ThreadPool* pool = nullptr);
-
 }  // namespace h2

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "linalg/error.hpp"
+#include "runtime/block_pool.hpp"
 #include "runtime/thread_pool.hpp"
 #include "test_helpers.hpp"
 
@@ -221,6 +223,38 @@ TEST(ApiSolver, SolveStatsSurfaceThroughFacadeAndHandle) {
   SolveHandle inline_handle = global_solver.solve_async(p.b);
   (void)inline_handle.get();
   EXPECT_TRUE(inline_handle.stats().records.empty());
+}
+
+TEST(ApiSolver, SingularCloudThrowsOnTheCallerUnderEveryShape) {
+  // Every odd point duplicates its predecessor: two identical rows, an
+  // exactly singular pivot inside some factorization task. The task's
+  // NumericalError must reach build()'s caller under every DAG shape — not
+  // terminate the worker it ran on — and the failed factorization must
+  // hand back every block byte it charged.
+  Rng rng(11);
+  PointCloud pts = uniform_cube(1024, rng);
+  for (std::size_t i = 1; i < pts.size(); i += 2) pts[i] = pts[i - 1];
+  const LaplaceKernel kernel(1e-2);
+  struct Shape {
+    UlvMode mode;
+    UlvExecutor executor;
+    const char* name;
+  };
+  const Shape shapes[] = {
+      {UlvMode::Parallel, UlvExecutor::TaskDag, "free DAG"},
+      {UlvMode::Parallel, UlvExecutor::PhaseLoops, "barrier shape"},
+      {UlvMode::Sequential, UlvExecutor::TaskDag, "sequential"}};
+  for (const Shape& sh : shapes) {
+    const std::uint64_t live0 = blockmem::live();
+    EXPECT_THROW((void)Solver::build(pts, kernel,
+                                     SolverOptions{}
+                                         .with_workers(2)
+                                         .with_mode(sh.mode)
+                                         .with_executor(sh.executor)),
+                 NumericalError)
+        << sh.name;
+    EXPECT_EQ(blockmem::live(), live0) << sh.name;
+  }
 }
 
 TEST(ApiSolver, OptionsValidation) {

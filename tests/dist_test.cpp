@@ -406,10 +406,10 @@ TEST_F(EdgeChargedModel, EdgeChargingDominatesAnalyticWithoutInvertingOrder) {
   EXPECT_LT(edge_times[2], edge_times[1]);
 }
 
-TEST(UlvDistModelFallback, FlatLogHasNoRecordedDagAndFallsBackToAnalytic) {
-  // PhaseLoops + record_tasks: only the flat log exists, so EdgeCharged
-  // silently degrades to the analytic charging instead of pretending it
-  // knows edges it never saw.
+TEST(UlvDistModelShapes, BarrierShapeRecordsADagWithControlSinkBarriers) {
+  // The bulk-synchronous shape is recorded like any DAG: its barriers are
+  // control sinks (no alpha-beta charge into them), so at P = 1 the
+  // edge-charged time equals the no-comm replay bit for bit.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   H2BuildOptions ho;
   ho.admissibility = {Admissibility::Strong, 0.75};
@@ -418,15 +418,22 @@ TEST(UlvDistModelFallback, FlatLogHasNoRecordedDagAndFallsBackToAnalytic) {
   UlvOptions u;
   u.tol = 1e-6;
   u.record_tasks = true;
+  u.n_workers = 1;
   u.executor = UlvExecutor::PhaseLoops;
   const UlvFactorization f(h, u);
   UlvDistModel model{&f.stats(), &h.structure()};
-  EXPECT_FALSE(model.has_recorded_dag());
+  ASSERT_TRUE(model.has_recorded_dag());
+  const ScheduleInput in = model.replay_input();
+  int barriers = 0;
+  for (int t = 0; t < f.stats().dag.n_tasks(); ++t)
+    if (f.stats().dag.meta[t].label == "barrier") {
+      ++barriers;
+      EXPECT_EQ(in.control_sink[t], 1) << "barrier #" << t;
+    }
+  EXPECT_GT(barriers, 0);
   const CommModel cm;
-  for (const int ranks : {1, 4}) {
-    EXPECT_EQ(model.time(ranks, cm, CommCharging::EdgeCharged),
-              model.time(ranks, cm, CommCharging::Analytic));
-  }
+  EXPECT_EQ(model.time(1, cm, CommCharging::EdgeCharged),
+            model.shared_memory_time(1));
 }
 
 TEST(BlrDistReplay, DagReplayShowsLimitedScaling) {

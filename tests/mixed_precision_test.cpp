@@ -1,11 +1,11 @@
-// The mixed-precision accuracy gate: under Precision::F32 every structure
-// family factors (or stores) its factorization in fp32 and recovers fp64-
-// grade residuals through iterative refinement against the retained fp64
-// operator. The battery pins the contract end to end — fp32+refine reaches
-// the fp64 path's residual (within 10x) across {H2, HSS, BLR, HODLR} and
-// kernels, refinement iteration counts stay bounded, and a deliberately
-// unreachable refine_tol reports a typed non-convergence instead of looping
-// or throwing.
+// The mixed-precision accuracy gate: under Precision::F32 the ULV structure
+// families (H2, HSS) factor in fp32 and recover fp64-grade residuals
+// through iterative refinement against the retained fp64 operator. The
+// battery pins the contract end to end — fp32+refine reaches the fp64
+// path's residual (within 10x) across {H2, HSS} and kernels, refinement
+// iteration counts stay bounded, a deliberately unreachable refine_tol
+// reports a typed non-convergence instead of looping or throwing, and
+// BLR/HODLR (no fp32 factorization) reject F32 at validation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -42,8 +42,6 @@ TEST(MixedPrecision, F32PlusRefineMatchesF64ResidualAcrossStructures) {
   const Cell cells[] = {
       {SolverStructure::H2, "H2"},
       {SolverStructure::HSS, "HSS"},
-      {SolverStructure::BLR, "BLR"},
-      {SolverStructure::HODLR, "HODLR"},
   };
   const KernelKind kernels[] = {KernelKind::Laplace, KernelKind::Matern};
   for (const Cell& c : cells) {
@@ -167,6 +165,13 @@ TEST(MixedPrecision, ValidateRejectsNonsense) {
       (void)Solver::build(p.pts, *p.kernel,
                           SolverOptions{}.with_max_refine_iters(0)),
       std::invalid_argument);
+  for (const SolverStructure st :
+       {SolverStructure::BLR, SolverStructure::HODLR})
+    EXPECT_THROW((void)Solver::build(p.pts, *p.kernel,
+                                     SolverOptions{}
+                                         .with_structure(st)
+                                         .with_precision(Precision::F32)),
+                 std::invalid_argument);
 }
 
 }  // namespace

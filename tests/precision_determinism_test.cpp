@@ -1,5 +1,5 @@
 // The fp32 lifecycle contracts that make Precision::F32 a first-class axis
-// rather than a demo: fp32 runs are bitwise identical across executors,
+// rather than a demo: fp32 runs are bitwise identical across DAG shapes,
 // schedules, and worker counts (the same determinism contract fp64 carries);
 // fp32 factor blocks survive SpillStore round-trips bit for bit at HALF the
 // fp64 spill bytes; the fp32 peak factor footprint lands at half of fp64's
@@ -96,7 +96,6 @@ TEST(PrecisionDeterminism, F32BitwiseAcrossExecutorsSchedulesAndWorkers) {
       for (const int w : workers) {
         UlvOptions u = f32_opts(1e-6);
         u.executor = ex;
-        u.solve_executor = ex;
         u.schedule = sc;
         u.n_workers = w;
         const UlvFactorization f(h, u);

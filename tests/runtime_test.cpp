@@ -9,7 +9,9 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "runtime/block_pool.hpp"
 #include "runtime/task_graph.hpp"
@@ -55,22 +57,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPool) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not hang
   SUCCEED();
-}
-
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](int i) { ++hits[i]; }, &pool);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndSingleRanges) {
-  ThreadPool pool(3);
-  int calls = 0;
-  parallel_for(5, 5, [&](int) { ++calls; }, &pool);
-  EXPECT_EQ(calls, 0);
-  parallel_for(7, 8, [&](int i) { EXPECT_EQ(i, 7); ++calls; }, &pool);
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(TaskGraph, RespectsDependencies) {
@@ -184,6 +170,58 @@ TEST(TaskGraph, CycleDetectedBeforeAnyTaskRuns) {
   g.add_dependency(b, a);
   EXPECT_THROW(g.execute(2), std::logic_error);
   EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(TaskGraph, TaskExceptionDrainsTheGraphAndRethrowsOnTheCaller) {
+  // A throwing task must not terminate its worker: the graph drains (later
+  // bodies skipped, successors still released) and the FIRST exception
+  // surfaces from execute() on the calling thread.
+  for (const int workers : {1, 4}) {
+    TaskGraph g;
+    std::atomic<int> ran{0};
+    const TaskId root = g.add_task([&] { ++ran; }, "root");
+    const TaskId bad =
+        g.add_task([] { throw std::runtime_error("boom"); }, "bad");
+    const TaskId after = g.add_task([&] { ++ran; }, "after");
+    g.add_dependency(root, bad);
+    g.add_dependency(bad, after);
+    for (int i = 0; i < 50; ++i) {
+      const TaskId t = g.add_task([&] { ++ran; });
+      g.add_dependency(bad, t);
+    }
+    ThreadPool pool(workers);
+    try {
+      (void)g.execute(pool);
+      FAIL() << "task exception swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom");
+    }
+    EXPECT_EQ(ran.load(), 1) << "bodies after the failure must be skipped";
+    // The pool survives and stays usable.
+    std::atomic<bool> ok{false};
+    pool.submit([&] { ok = true; });
+    pool.wait_idle();
+    EXPECT_TRUE(ok.load());
+  }
+}
+
+TEST(TaskGraph, RunInlineFollowsTopologicalOrderOnTheCaller) {
+  TaskGraph g;
+  std::vector<int> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool on_caller = true;
+  const TaskId c = g.add_task([&] { order.push_back(2); });
+  const TaskId a = g.add_task([&] { order.push_back(0); });
+  const TaskId b = g.add_task([&] {
+    order.push_back(1);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  g.add_dependency(a, b);
+  g.add_dependency(b, c);
+  g.run_inline();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(on_caller);
+  EXPECT_THROW(g.run_inline(), std::logic_error);  // one-shot, like execute
 }
 
 TEST(TaskGraph, ExecutesOnBorrowedPool) {

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "linalg/error.hpp"
 #include "server/server.hpp"
 #include "test_helpers.hpp"
 
@@ -375,6 +376,28 @@ TEST(ServerApi, EmptyHandleAndBadOptionsThrow) {
                std::invalid_argument);
 }
 
+TEST(ServerApi, FailedBuildThrowsToTheCallerAndLeavesNoEntry) {
+  // A cloud whose factorization hits an exactly singular pivot (every odd
+  // point duplicates its predecessor) fails its acquire on the caller;
+  // the cache keeps no poisoned entry, so the server serves on.
+  Rng rng(12);
+  PointCloud bad = uniform_cube(1024, rng);
+  for (std::size_t i = 1; i < bad.size(); i += 2) bad[i] = bad[i - 1];
+  const PointCloud good = uniform_cube(512, rng);
+  const LaplaceKernel kern(1e-2);
+  Server server;
+  EXPECT_THROW((void)server.acquire(bad, kern, cheap_opts().with_workers(2)),
+               NumericalError);
+  EXPECT_THROW((void)server.acquire(bad, kern, cheap_opts().with_workers(2)),
+               NumericalError)
+      << "a failed build must be retried, not served from the cache";
+  const Server::FactorHandle h = server.acquire(good, kern, cheap_opts());
+  ASSERT_TRUE(h.valid());
+  const Matrix b = Matrix::random(512, 1, rng);
+  const Matrix x = server.solve(h, b);
+  EXPECT_EQ(x.rows(), 512);
+}
+
 TEST(ServerCache, DigestCoversEveryNumericsOptionAndNoExecutionKnob) {
   // Regression audit of the factorization-cache key: EVERY option that can
   // change a solution's bits must perturb the digest (a collision would
@@ -432,8 +455,6 @@ TEST(ServerCache, DigestCoversEveryNumericsOptionAndNoExecutionKnob) {
   // Execution-only: identical bits by the determinism contract, so the
   // first entry must be reused.
   expect_hit(cheap_opts().with_executor(UlvExecutor::PhaseLoops), "executor");
-  expect_hit(cheap_opts().with_solve_executor(UlvExecutor::PhaseLoops),
-             "solve_executor");
   expect_hit(cheap_opts().with_schedule(UlvSchedule::Fifo), "schedule");
   expect_hit(cheap_opts().with_priority(UlvPriority::None), "priority");
   expect_hit(cheap_opts().with_workers(3), "n_workers");

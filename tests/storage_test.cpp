@@ -1,8 +1,9 @@
 // The storage tier (src/storage/): out-of-core factorization correctness —
 // solves with the spill/prefetch store enabled are bitwise identical to
-// in-RAM across executors and worker counts while resident factor bytes stay
-// under the budget (plus one block of slack); demote/promote round-trips;
-// fault injection (truncated files, corrupted payloads, a full disk) turning
+// in-RAM across DAG shapes, worker counts and inline solves while resident
+// factor bytes stay under the budget (plus one block of slack);
+// demote/promote round-trips; fault injection (truncated files, corrupted
+// payloads, a full disk) turning
 // into diagnosable errors that name the file and block, never a silently
 // wrong answer; and spill-file cleanup on destruction including error paths.
 #include <gtest/gtest.h>
@@ -56,7 +57,7 @@ struct TempDir {
 TEST(OutOfCore, BitwiseIdenticalToInRamAcrossExecutorsAndWorkers) {
   // The tentpole contract: spilling moves factor bytes, never transforms
   // them, so an out-of-core solve at HALF the in-RAM factor footprint must
-  // reproduce the in-RAM answer bit for bit — under both executors, serial
+  // reproduce the in-RAM answer bit for bit — under both DAG shapes, serial
   // and parallel — while the store's resident gauge respects the budget up
   // to one block of slack.
   Rng rng(21);
@@ -86,7 +87,6 @@ TEST(OutOfCore, BitwiseIdenticalToInRamAcrossExecutorsAndWorkers) {
     const Solver s = Solver::build(pts, kern,
                                    cheap_opts()
                                        .with_executor(c.ex)
-                                       .with_solve_executor(c.ex)
                                        .with_workers(c.workers)
                                        .with_spill_dir(tmp.path)
                                        .with_spill_budget_mb(budget_mb)
@@ -109,6 +109,35 @@ TEST(OutOfCore, BitwiseIdenticalToInRamAcrossExecutorsAndWorkers) {
     ASSERT_NE(st, nullptr);
     EXPECT_EQ(st->spilled_blocks, ss.blocks);
     EXPECT_EQ(st->spilled_bytes, ss.block_bytes);
+  }
+}
+
+TEST(OutOfCore, InlineSolveMatchesDagSolveInRamAndSpilled) {
+  // solve_async on the default wiring pipelines on the global pool, so the
+  // solve graph runs inline on that worker — spill step tasks included.
+  // It must reproduce the pool-executed DAG solve bit for bit, both with
+  // the whole factor resident and through a pure disk tier.
+  Rng rng(24);
+  const PointCloud pts = uniform_cube(512, rng);
+  const LaplaceKernel kern(1e-2);
+  const Matrix b = Matrix::random(512, 2, rng);
+  TempDir tmp;
+  for (const bool spill : {false, true}) {
+    SolverOptions o = cheap_opts();
+    if (spill) o = o.with_spill_dir(tmp.path).with_spill_budget_mb(0.0);
+    const Solver s = Solver::build(pts, kern, o);
+    const Matrix x_dag = s.solve(b);
+    const SpillStats before = s.spill_stats();
+    SolveHandle h = s.solve_async(b);
+    EXPECT_TRUE(bitwise_equal(h.get(), x_dag))
+        << (spill ? "spilled" : "in RAM");
+    EXPECT_TRUE(h.stats().records.empty()) << "inline solves publish no trace";
+    if (spill) {
+      // The inline run walked the spill steps too: a budget-0 tier faults.
+      const SpillStats after = s.spill_stats();
+      EXPECT_GT(after.step_misses + after.step_hits,
+                before.step_misses + before.step_hits);
+    }
   }
 }
 

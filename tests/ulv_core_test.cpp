@@ -134,17 +134,20 @@ TEST(UlvCore, LogAbsDetMatchesDense) {
 }
 
 TEST(UlvCore, ThreadedExecutionMatchesSerial) {
+  // The single-worker free DAG against the barrier shape on a 4-worker
+  // pool: same tasks, same bits.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   UlvOptions serial;
   serial.tol = 1e-9;
+  serial.n_workers = 1;
   UlvOptions threaded = serial;
-  threaded.use_threads = true;
+  threaded.executor = UlvExecutor::PhaseLoops;
   ThreadPool pool(4);
   threaded.pool = &pool;
   const double e1 = ulv_solution_error(p, strong_opts(1e-9), serial);
   const double e2 = ulv_solution_error(p, strong_opts(1e-9), threaded);
   EXPECT_LT(e1, 1e-5);
-  EXPECT_LT(e2, 1e-5);
+  EXPECT_EQ(e2, e1);
 }
 
 TEST(UlvCore, RanksAreRecordedAndBounded) {
@@ -191,6 +194,19 @@ TEST(UlvCore, TaskRecordingCoversAllLevels) {
     EXPECT_GE(t.seconds, 0.0);
   }
   for (int l = 0; l <= p.tree->depth(); ++l) EXPECT_TRUE(level_seen[l]);
+  // The log is derived from the execution trace: one row per compute task,
+  // none for the ry/assemble roots or the release control tasks.
+  std::size_t compute = 0;
+  for (const TaskRecord& r : f.stats().exec.records)
+    compute += r.label != "ry" && r.label != "assemble" &&
+               r.label != "dropped" && r.label.rfind("release", 0) != 0;
+  EXPECT_EQ(tasks.size(), compute);
+  for (const auto& t : tasks) {
+    const std::string kind = t.kind;
+    EXPECT_TRUE(kind != "ry" && kind != "assemble" && kind != "barrier" &&
+                kind.rfind("release", 0) != 0)
+        << kind;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "runtime/thread_pool.hpp"
 #include "test_helpers.hpp"
@@ -24,6 +27,23 @@ H2BuildOptions strong_opts(double tol) {
   o.tol = tol * 1e-2;
   return o;
 }
+
+/// Scratch directory for the spill tier, removed on scope exit.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    static int counter = 0;
+    path = (std::filesystem::temp_directory_path() /
+            ("h2-dag-" + std::to_string(::getpid()) + "-" +
+             std::to_string(counter++)))
+               .string();
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
 
 /// Factor + solve one fixed system; returns everything the comparisons need.
 struct RunResult {
@@ -214,54 +234,162 @@ TEST(UlvDag, AgreesWithSequentialBaseline) {
   EXPECT_LE(rel_error_fro(rd.x, rs.x), 1e-4);
 }
 
-TEST(UlvDag, MatchesPhaseLoopsAblationBitwise) {
-  // TaskDag and the bulk-synchronous PhaseLoops ablation share the same
-  // phase bodies; the executors must be indistinguishable in the output.
-  const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
+TEST(UlvDag, BarrierShapeMatchesFreeDagBitwise) {
+  // The bulk-synchronous ablation is the free DAG plus barriers: the same
+  // tasks run the same block operations, so every cell of {free, barrier}
+  // x {1, 4, 8} workers x {fp64, fp32} x {in RAM, spilled} reproduces the
+  // single-worker free-DAG run of its precision bit for bit.
+  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
-  UlvOptions dag;
-  dag.tol = 1e-9;
-  dag.n_workers = 2;
-  UlvOptions loops = dag;
-  loops.executor = UlvExecutor::PhaseLoops;
-  const RunResult rd = run(p, h, dag);
-  const RunResult rl = run(p, h, loops);
-  EXPECT_EQ(rd.logabsdet, rl.logabsdet);
-  EXPECT_LE(rel_error_fro(rd.x, rl.x), 1e-14);
+  const TempDir tmp;
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    UlvOptions ref;
+    ref.tol = 1e-9;
+    ref.precision = prec;
+    ref.n_workers = 1;
+    const RunResult r1 = run(p, h, ref);
+    EXPECT_LT(r1.residual, prec == Precision::F64 ? 1e-5 : 1e-3);
+    for (const UlvExecutor shape :
+         {UlvExecutor::TaskDag, UlvExecutor::PhaseLoops}) {
+      for (const int workers : {1, 4, 8}) {
+        for (const bool spill : {false, true}) {
+          UlvOptions u = ref;
+          u.executor = shape;
+          u.n_workers = workers;
+          if (spill) {
+            u.spill_dir = tmp.path;
+            u.spill_budget_bytes = 64 << 10;  // far below the factor
+          }
+          const RunResult rk = run(p, h, u);
+          const std::string cell =
+              std::string(prec == Precision::F64 ? "fp64" : "fp32") + " x " +
+              (shape == UlvExecutor::TaskDag ? "free" : "barrier") + " x " +
+              std::to_string(workers) + " workers" +
+              (spill ? " x spilled" : "");
+          EXPECT_EQ(rel_error_fro(rk.x, r1.x), 0.0) << cell;
+          EXPECT_EQ(rk.logabsdet, r1.logabsdet) << cell;
+          if (spill) {
+            EXPECT_GT(rk.stats.spilled_blocks, 0u) << cell;
+          }
+        }
+      }
+    }
+  }
 }
 
-TEST(UlvDag, DroppedMassDiagnosticsMatchPhaseLoops) {
+TEST(UlvDag, DroppedMassDiagnosticsMatchAcrossShapes) {
   // measure_dropped reads the solved strips full-width, so its DAG tasks
   // need col_solve edges to every dense neighbor; with those in place the
-  // accumulated mass matches the bulk-synchronous ablation up to the
-  // mutex-ordered floating-point summation.
+  // accumulated mass matches the barrier shape up to the mutex-ordered
+  // floating-point summation.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions dag;
   dag.tol = 1e-8;
   dag.measure_dropped = true;
   dag.n_workers = 4;
-  UlvOptions loops = dag;
-  loops.executor = UlvExecutor::PhaseLoops;
+  UlvOptions bulk = dag;
+  bulk.executor = UlvExecutor::PhaseLoops;
   const UlvFactorization fd(h, dag);
-  const UlvFactorization fl(h, loops);
-  EXPECT_GT(fl.stats().dropped_mass, 0.0);
-  EXPECT_NEAR(fd.stats().dropped_mass, fl.stats().dropped_mass,
-              1e-10 * fl.stats().dropped_mass);
+  const UlvFactorization fb(h, bulk);
+  EXPECT_GT(fb.stats().dropped_mass, 0.0);
+  EXPECT_NEAR(fd.stats().dropped_mass, fb.stats().dropped_mass,
+              1e-10 * fb.stats().dropped_mass);
 }
 
-TEST(UlvDag, DeprecatedUseThreadsStillWorks) {
-  // The pre-Executor API: use_threads selects pool-parallel phase loops.
-  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
+TEST(UlvDag, SequentialShapeChainsEliminationsOnEveryLevel) {
+  // The Sec. II.D baseline as a DAG shape: on every level, eliminate(k) ->
+  // eliminate(k+1) — the trailing dependency the paper's method removes —
+  // and no col_solve/schur tasks (the chain applies their updates).
+  const Problem p = make_problem(512, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions u;
   u.tol = 1e-8;
-  u.use_threads = true;
-  ThreadPool pool(3);
-  u.pool = &pool;
-  const RunResult r = run(p, h, u);
-  EXPECT_LT(r.residual, 1e-4);
-  EXPECT_TRUE(r.stats.dag.empty());  // bulk-synchronous: no DAG recorded
+  u.mode = UlvMode::Sequential;
+  u.record_tasks = true;
+  u.n_workers = 2;
+  const UlvFactorization f(h, u);
+  const DagRecord& dag = f.stats().dag;
+  ASSERT_FALSE(dag.empty());
+  std::vector<std::vector<TaskId>> elim(f.depth() + 1);
+  for (TaskId t = 0; t < dag.n_tasks(); ++t) {
+    const TaskMeta& m = dag.meta[t];
+    EXPECT_NE(m.label, "col_solve");
+    EXPECT_NE(m.label, "schur");
+    if (m.label != "eliminate") continue;
+    ASSERT_GE(m.level, 1);
+    auto& row = elim[m.level];
+    if (static_cast<int>(row.size()) <= m.owner) row.resize(m.owner + 1, -1);
+    row[m.owner] = t;
+  }
+  for (int level = 1; level <= f.depth(); ++level) {
+    ASSERT_EQ(static_cast<int>(elim[level].size()), 1 << level)
+        << "level " << level;
+    for (std::size_t k = 0; k + 1 < elim[level].size(); ++k) {
+      const auto& succ = dag.successors[elim[level][k]];
+      EXPECT_NE(std::find(succ.begin(), succ.end(), elim[level][k + 1]),
+                succ.end())
+          << "no eliminate(" << k << ") -> eliminate(" << k + 1
+          << ") edge at level " << level;
+    }
+  }
+  // The skeleton releases sharing a chain tail do not chain onto each other.
+  for (TaskId t = 0; t < dag.n_tasks(); ++t) {
+    if (dag.meta[t].label != "release") continue;
+    for (const TaskId s : dag.successors[t])
+      EXPECT_NE(dag.meta[s].label, "release") << "release #" << t;
+  }
+  // The flat log keeps one "eliminate" row per pivot: what the fill-in
+  // ablation bench sums as the Sequential elimination time.
+  int elim_rows = 0;
+  for (const UlvTaskRecord& r : f.stats().tasks)
+    elim_rows += std::string(r.kind) == "eliminate";
+  EXPECT_EQ(elim_rows, (1 << (f.depth() + 1)) - 2);
+}
+
+TEST(UlvDag, SequentialShapeIsBitwiseAcrossWorkerCounts) {
+  // The chain orders every trailing update, so more workers only overlap
+  // the basis pipeline around it — factors and solves stay bit-identical.
+  const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
+  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
+  UlvOptions seq;
+  seq.tol = 1e-9;
+  seq.mode = UlvMode::Sequential;
+  seq.n_workers = 1;
+  const RunResult r1 = run(p, h, seq);
+  seq.n_workers = 4;
+  const RunResult r4 = run(p, h, seq);
+  EXPECT_EQ(rel_error_fro(r4.x, r1.x), 0.0);
+  EXPECT_EQ(r4.logabsdet, r1.logabsdet);
+}
+
+TEST(UlvDag, BarrierShapeAddsOnlyBarriers) {
+  // The bulk-synchronous shape keeps every task and edge of the free DAG
+  // (same ids, allocated first) and adds "barrier" tasks between phases.
+  const Problem p = make_problem(512, 32, Geometry::Cube, KernelKind::Laplace);
+  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
+  UlvOptions u;
+  u.tol = 1e-8;
+  u.record_tasks = true;
+  u.n_workers = 2;
+  UlvOptions bulk = u;
+  bulk.executor = UlvExecutor::PhaseLoops;
+  const UlvFactorization ff(h, u);
+  const UlvFactorization fb(h, bulk);
+  const DagRecord& free_dag = ff.stats().dag;
+  const DagRecord& bulk_dag = fb.stats().dag;
+  ASSERT_GT(bulk_dag.n_tasks(), free_dag.n_tasks());
+  for (TaskId t = 0; t < free_dag.n_tasks(); ++t) {
+    ASSERT_EQ(bulk_dag.meta[t].label, free_dag.meta[t].label);
+    for (const TaskId v : free_dag.successors[t]) {
+      const auto& succ = bulk_dag.successors[t];
+      EXPECT_NE(std::find(succ.begin(), succ.end(), v), succ.end());
+    }
+  }
+  for (TaskId t = free_dag.n_tasks(); t < bulk_dag.n_tasks(); ++t)
+    EXPECT_EQ(bulk_dag.meta[t].label, "barrier");
+  // The flat log is the same view of either shape: no barrier rows.
+  EXPECT_EQ(fb.stats().tasks.size(), ff.stats().tasks.size());
 }
 
 TEST(UlvDag, FactorizingFromAPoolWorkerDoesNotDeadlock) {
@@ -393,7 +521,7 @@ TEST(UlvDag, ReleaseTasksBoundPeakFactorizationMemory) {
       EXPECT_LE(r.stats.peak_block_bytes, base.stats.peak_block_bytes / 2)
           << cell;
       // What survives is exactly the persistent factor, identical across
-      // executors and worker counts (same bitwise blocks), and the peak
+      // shapes and worker counts (same bitwise blocks), and the peak
       // hugs it — releases fire as soon as the last consumer retires.
       EXPECT_GE(r.stats.peak_block_bytes, r.stats.final_block_bytes) << cell;
       if (released_final == 0)

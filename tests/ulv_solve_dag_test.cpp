@@ -32,12 +32,11 @@ Matrix random_rhs(int n, int nrhs) {
   return Matrix::random(n, nrhs, rng);
 }
 
-TEST(UlvSolveDag, MultiRhsBitwiseAcrossSolveExecutorMatrix) {
-  // The redesigned solve: every cell of {PhaseLoops, TaskDag-solve} x
-  // {Fifo, WorkSteal} x {1, 4, 8} workers must reproduce the bulk-
-  // synchronous single-worker sweep BIT FOR BIT, for one and many
-  // right-hand sides — scheduling changes when a task runs, never what it
-  // computes.
+TEST(UlvSolveDag, MultiRhsBitwiseAcrossShapeMatrix) {
+  // Every cell of {barrier, free} shape x {Fifo, WorkSteal} x {1, 4, 8}
+  // workers must reproduce the single-worker barrier-shape solve BIT FOR
+  // BIT, for one and many right-hand sides — shape and scheduling change
+  // when a task runs, never what it computes.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
   const int n = p.tree->n_points();
@@ -47,7 +46,7 @@ TEST(UlvSolveDag, MultiRhsBitwiseAcrossSolveExecutorMatrix) {
     ref.tol = 1e-9;
     ref.n_workers = 1;
     ref.schedule = UlvSchedule::Fifo;
-    ref.solve_executor = UlvExecutor::PhaseLoops;
+    ref.executor = UlvExecutor::PhaseLoops;
     const UlvFactorization f_ref(h, ref);
     Matrix x_ref = b;
     f_ref.solve(x_ref);
@@ -58,21 +57,21 @@ TEST(UlvSolveDag, MultiRhsBitwiseAcrossSolveExecutorMatrix) {
     gemm(1.0, a, Trans::No, x_ref, Trans::No, 0.0, ax);
     EXPECT_LT(rel_error_fro(ax, b), 1e-5) << "nrhs " << nrhs;
 
-    for (const UlvExecutor sexec :
+    for (const UlvExecutor shape :
          {UlvExecutor::PhaseLoops, UlvExecutor::TaskDag}) {
       for (const UlvSchedule sched :
            {UlvSchedule::Fifo, UlvSchedule::WorkSteal}) {
         for (const int workers : {1, 4, 8}) {
           UlvOptions u = ref;
-          u.solve_executor = sexec;
+          u.executor = shape;
           u.schedule = sched;
           u.n_workers = workers;
           const UlvFactorization f(h, u);
           Matrix x = b;
           f.solve(x);
           const std::string cell =
-              std::string(sexec == UlvExecutor::TaskDag ? "dag-solve"
-                                                        : "loop-solve") +
+              std::string(shape == UlvExecutor::TaskDag ? "free"
+                                                        : "barrier") +
               " x " + (sched == UlvSchedule::Fifo ? "fifo" : "worksteal") +
               " x " + std::to_string(workers) + " workers, nrhs " +
               std::to_string(nrhs);
@@ -161,14 +160,35 @@ TEST(UlvSolveDag, RecordedPlanMirrorsForwardSweepReversed) {
         << "forward task " << t << " vs its backward twin";
 }
 
-TEST(UlvSolveDag, PhaseLoopsSolveRecordsNoPlan) {
+TEST(UlvSolveDag, EveryModeAndShapeRecordsAPlan) {
+  // One solve executor: the plan exists for every mode and shape. The
+  // barrier shape's plan is the free plan (same ids, same edges) plus
+  // "barrier" tasks between consecutive (level, phase) groups.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions u;
   u.tol = 1e-8;
-  u.solve_executor = UlvExecutor::PhaseLoops;
-  const UlvFactorization f(h, u);
-  EXPECT_TRUE(f.solve_dag().empty());
+  UlvOptions seq = u;
+  seq.mode = UlvMode::Sequential;
+  UlvOptions bulk = u;
+  bulk.executor = UlvExecutor::PhaseLoops;
+  const UlvFactorization ff(h, u);
+  const UlvFactorization fs(h, seq);
+  const UlvFactorization fb(h, bulk);
+  const DagRecord& free_plan = ff.solve_dag();
+  ASSERT_FALSE(free_plan.empty());
+  EXPECT_EQ(fs.solve_dag().n_tasks(), free_plan.n_tasks());
+  const DagRecord& bulk_plan = fb.solve_dag();
+  ASSERT_GT(bulk_plan.n_tasks(), free_plan.n_tasks());
+  for (TaskId t = 0; t < free_plan.n_tasks(); ++t) {
+    ASSERT_EQ(bulk_plan.meta[t].label, free_plan.meta[t].label);
+    for (const TaskId v : free_plan.successors[t]) {
+      const auto& succ = bulk_plan.successors[t];
+      EXPECT_NE(std::find(succ.begin(), succ.end(), v), succ.end());
+    }
+  }
+  for (TaskId t = free_plan.n_tasks(); t < bulk_plan.n_tasks(); ++t)
+    EXPECT_EQ(bulk_plan.meta[t].label, "barrier");
 }
 
 TEST(UlvSolveDag, PriorityNoneLeavesThePlanUnranked) {
@@ -233,14 +253,17 @@ TEST(UlvSolveDag, DagSolveSurfacesExecStatsWithBusyWorkers) {
   // always; the attempt loop only shields against a pathological schedule.
   EXPECT_TRUE(every_worker_executed);
 
-  // The ablation sweep reports nothing — the surface is exact about which
-  // executor produced what.
-  UlvOptions loops = u;
-  loops.solve_executor = UlvExecutor::PhaseLoops;
-  const UlvFactorization fl(h, loops);
+  // An inline solve (run on a worker of its own pool) reports nothing —
+  // the surface is exact about which solves produced a trace.
+  ThreadPool pool(1);
+  UlvOptions on_pool = u;
+  on_pool.pool = &pool;
+  const UlvFactorization fp(h, on_pool);
   Matrix x = b;
-  fl.solve(x);
-  EXPECT_TRUE(fl.last_solve_stats().records.empty());
+  pool.submit([&] { fp.solve(x); });
+  pool.wait_idle();
+  EXPECT_TRUE(fp.last_solve_stats().records.empty());
+  EXPECT_EQ(fp.solve_stats_generation(), 0u);
 }
 
 TEST(UlvSolveDag, SolveTraceCsvHookWritesEveryTask) {
@@ -279,9 +302,9 @@ TEST(UlvSolveDag, SolveTraceCsvHookWritesEveryTask) {
 }
 
 TEST(UlvSolveDag, SolveFromAPoolWorkerDoesNotDeadlock) {
-  // A solve submitted onto the very pool the DAG would execute on falls
-  // back to the (bitwise-identical) inline sweep — whole solves pipeline
-  // across workers instead of blocking on work queued behind themselves.
+  // A solve submitted onto the very pool the DAG would execute on runs the
+  // same graph inline, bitwise identical — whole solves pipeline across
+  // workers instead of blocking on work queued behind themselves.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   ThreadPool pool(2);
@@ -332,7 +355,7 @@ TEST(UlvSolveDag, ConcurrentSolvesShareOneFactorization) {
     EXPECT_EQ(rel_error_fro(parallel[i], serial[i]), 0.0) << "rhs " << i;
 }
 
-TEST(UlvSolveDag, ValidateRejectsNonsenseAndMapsUseThreads) {
+TEST(UlvSolveDag, ValidateRejectsNonsense) {
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions bad;
@@ -347,22 +370,6 @@ TEST(UlvSolveDag, ValidateRejectsNonsenseAndMapsUseThreads) {
   bad = UlvOptions{};
   bad.n_workers = -2;
   EXPECT_THROW(UlvFactorization(h, bad), std::invalid_argument);
-
-  // The deprecated alias now maps EXPLICITLY onto the PhaseLoops executors:
-  // no DAG is recorded for the factorization or the solve.
-  UlvOptions legacy;
-  legacy.tol = 1e-8;
-  legacy.use_threads = true;
-  legacy.record_tasks = true;
-  const UlvFactorization f(h, legacy);
-  EXPECT_TRUE(f.stats().dag.empty());
-  EXPECT_TRUE(f.solve_dag().empty());
-
-  UlvOptions norm;
-  norm.use_threads = true;
-  norm.validate();
-  EXPECT_EQ(norm.executor, UlvExecutor::PhaseLoops);
-  EXPECT_EQ(norm.solve_executor, UlvExecutor::PhaseLoops);
 }
 
 }  // namespace
