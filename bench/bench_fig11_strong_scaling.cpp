@@ -129,8 +129,8 @@ int main() {
                 std::to_string(sx.worker_counters[wi].stolen)});
   std::snprintf(title, sizeof(title),
                 "Fig. 11 (executor): per-worker execute/steal counters, "
-                "schedule=%s priority=%s, %d workers",
-                sx.schedule_policy, sx.priority_policy, sx.n_workers);
+                "%d workers",
+                sx.n_workers);
   emit(tw, title, "fig11_steal_counters");
   std::printf("real DAG execution: %zu tasks on %d workers in %.4f s; "
               "%" PRIu64 " tasks arrived by stealing\n",

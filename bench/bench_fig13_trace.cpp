@@ -110,8 +110,7 @@ int main() {
               "%.4f s, overhead+idle %.1f %%)\n",
               uex.records.size(), uex.n_workers, uex.wall_seconds,
               uex.useful_seconds, 100.0 * uex.overhead_fraction());
-  std::printf("scheduler            : %s + %s; per-worker executed/stolen:",
-              uex.schedule_policy, uex.priority_policy);
+  std::printf("per-worker executed/stolen:");
   for (std::size_t wi = 0; wi < uex.worker_counters.size(); ++wi)
     std::printf(" w%zu=%" PRIu64 "/%" PRIu64, wi,
                 uex.worker_counters[wi].executed,

@@ -7,7 +7,7 @@
 ///             sweep under the ~1 ms admission deadline (the h2::Server
 ///             default),
 ///
-/// both under the server's deterministic (width-stable) contract, so the
+/// both under the server's bitwise (width-stable) contract, so the
 /// comparison isolates pure batching: every cell's answers are bitwise
 /// identical to the serial references, checked per request. Offered rates
 /// are multiples of the measured single-RHS capacity mu; at saturation the
@@ -83,8 +83,8 @@ int main() {
                                  .with_max_rank(cfg.max_rank);
   const Matrix B = Matrix::random(n, distinct, rng);
 
-  // Serial references + single-RHS capacity mu, measured in the same
-  // deterministic (width-stable) mode every traffic cell runs under — so
+  // Serial references + single-RHS capacity mu, measured under the same
+  // width-stable solve every traffic cell runs under — so
   // rate multiples and the 1.5x bar are relative to what latency mode can
   // actually do, and every traffic answer can be checked bitwise.
   std::vector<Matrix> refs;
@@ -101,7 +101,7 @@ int main() {
     mu = cal_reps / t.seconds();
   }
   std::printf("N=%d, single-RHS capacity mu = %.1f solves/s "
-              "(deterministic mode), %d clients, %d requests/cell\n",
+              "(width-stable), %d clients, %d requests/cell\n",
               n, mu, clients, requests);
 
   std::atomic<int> divergent{0};

@@ -42,8 +42,6 @@ UlvOptions SolverOptions::ulv_options() const {
   u.fillin_augmentation = fillin_augmentation;
   u.mode = mode;
   u.executor = executor;
-  u.schedule = schedule;
-  u.priority = priority;
   u.n_workers = n_workers;
   u.pool = pool;
   u.record_tasks = record_tasks;
@@ -93,11 +91,6 @@ void SolverOptions::validate() const {
 /// The whole pipeline, built once and shared (immutably) by every copy of
 /// the Solver and every in-flight SolveHandle.
 struct Solver::Impl {
-  /// Materialized when n_workers > 0 and no explicit pool was given: ONE
-  /// private pool shared by the factorization, every solve, and the
-  /// solve_async/solve_batch pipelining — declared first so it outlives
-  /// the backends that borrow it.
-  std::unique_ptr<ThreadPool> owned_pool;
   SolverOptions opt;
   std::unique_ptr<ClusterTree> tree;
   // Exactly one backend is set, by opt.structure.
@@ -124,14 +117,6 @@ Solver Solver::build(const PointCloud& points, const Kernel& kernel,
   switch (opt.structure) {
     case SolverStructure::H2:
     case SolverStructure::HSS: {
-      // Only the ULV backends run on a borrowed pool; BLR/HODLR drive
-      // their own workers, so materializing one here would just park
-      // threads for the Solver's lifetime.
-      if (opt.pool == nullptr && opt.n_workers > 0) {
-        impl->owned_pool = std::make_unique<ThreadPool>(
-            opt.n_workers, opt.ulv_options().queue_policy());
-        opt.pool = impl->owned_pool.get();
-      }
       H2BuildOptions ho;
       ho.admissibility = {opt.structure == SolverStructure::H2
                               ? Admissibility::Strong
@@ -167,7 +152,7 @@ Solver Solver::build(const PointCloud& points, const Kernel& kernel,
       break;
     }
   }
-  impl->opt = opt;  // after the switch: it may have bound opt.pool
+  impl->opt = opt;
   return Solver(std::move(impl));
 }
 
@@ -228,37 +213,34 @@ Matrix Solver::solve(ConstMatrixView b) const {
   return impl_->tree->from_tree_order(x);
 }
 
-ThreadPool& Solver::async_pool() const {
-  // Pipeline on the USER's explicit pool or the process-wide pool — never
-  // on the Impl-owned private pool: the queued task holds a shared_ptr to
-  // Impl, and if it were the last reference, releasing it on an owned-pool
-  // worker would run ~Impl -> ~ThreadPool on that pool's own thread (a
-  // self-join). On the global pool, destroying the owned pool from a
-  // worker of a DIFFERENT pool is safe; the solves inside still execute on
-  // the private pool via opt.pool.
-  ThreadPool* user_pool =
-      impl_->opt.pool != impl_->owned_pool.get() ? impl_->opt.pool : nullptr;
-  return user_pool != nullptr ? *user_pool : ThreadPool::global();
-}
-
 SolveHandle Solver::solve_async(Matrix b) const {
   auto task = std::make_shared<std::packaged_task<SolveHandle::Outcome()>>(
-      [impl = impl_, b = std::move(b)] {
-        const Solver s(impl);
-        const std::uint64_t gen0 =
-            impl->ulv ? impl->ulv->solve_stats_generation() : 0;
+      [impl = impl_, b = std::move(b)]() mutable {
+        // The task's Impl reference moves into a local, so it is dropped
+        // when this body returns — before the future becomes ready. Once
+        // get() returns, no pool worker still owns the factorization: the
+        // caller's last Solver or handle frees it, on the caller's thread.
+        const Solver s(std::move(impl));
+        const UlvFactorization* ulv = s.impl_->ulv.get();
+        const std::uint64_t gen0 = ulv ? ulv->solve_stats_generation() : 0;
         Matrix x = s.solve(b);
         // Snapshot the backend's trace only if a DAG solve actually
         // completed since this one started — a solve that pipelined inline
         // (untraced) must come back EMPTY, not carry a stale
         // sibling's trace as its own. See SolveHandle::stats.
         SolveHandle::Outcome out{std::move(x), ExecStats{}};
-        if (impl->ulv && impl->ulv->solve_stats_generation() != gen0)
-          out.stats = impl->ulv->last_solve_stats();
+        if (ulv && ulv->solve_stats_generation() != gen0)
+          out.stats = ulv->last_solve_stats();
         return out;
       });
   std::future<SolveHandle::Outcome> fut = task->get_future();
-  ThreadPool& pool = async_pool();
+  // Pipeline on the user's pool, else the process-wide one — never on the
+  // factorization's own n_workers pool: the queued task holds a shared_ptr
+  // to Impl, and if it were the last reference, releasing it on a worker of
+  // that pool would run ~ThreadPool on the pool's own thread (a self-join).
+  // The solve inside still executes on the factorization's pool.
+  ThreadPool& pool =
+      impl_->opt.pool != nullptr ? *impl_->opt.pool : ThreadPool::global();
   if (ThreadPool::current() == &pool) {
     // Already on a worker of the pipelining pool: run inline instead of
     // blocking a future on work queued behind this very task.

@@ -92,12 +92,9 @@ struct SolverOptions {
   /// DAG shape of the factorization and the solve: the free DAG (default)
   /// or the bulk-synchronous ablation (a barrier per level and phase).
   UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Ready-queue discipline of the executing pool (work stealing or FIFO).
-  UlvSchedule schedule = UlvSchedule::WorkSteal;
-  /// Ready-task ordering (critical-path priorities or submission order).
-  UlvPriority priority = UlvPriority::CriticalPath;
-  /// 0: the process-wide pool; > 0: build() materializes ONE private pool
-  /// of that size (H2/HSS), shared by the factorization and every solve.
+  /// 0: the process-wide pool; > 0: the factorization owns ONE private
+  /// pool of that size (H2/HSS), shared by the factorization and every
+  /// solve for the Solver's lifetime.
   /// BLR and HODLR drive their own workers: BLR sizes them from this (0:
   /// hardware), HODLR is serial.
   int n_workers = 0;
@@ -158,8 +155,6 @@ struct SolverOptions {
   SolverOptions& with_max_rank(int v) { max_rank = v; return *this; }  ///< chain-set max_rank
   SolverOptions& with_mode(UlvMode v) { mode = v; return *this; }  ///< chain-set mode
   SolverOptions& with_executor(UlvExecutor v) { executor = v; return *this; }  ///< chain-set executor
-  SolverOptions& with_schedule(UlvSchedule v) { schedule = v; return *this; }  ///< chain-set schedule
-  SolverOptions& with_priority(UlvPriority v) { priority = v; return *this; }  ///< chain-set priority
   SolverOptions& with_workers(int v) { n_workers = v; return *this; }  ///< chain-set n_workers
   SolverOptions& with_pool(ThreadPool* p) { pool = p; return *this; }  ///< chain-set pool
   SolverOptions& with_record_tasks(bool v) { record_tasks = v; return *this; }  ///< chain-set record_tasks
@@ -318,8 +313,6 @@ class Solver {
  private:
   struct Impl;
   explicit Solver(std::shared_ptr<const Impl> impl) : impl_(std::move(impl)) {}
-
-  [[nodiscard]] ThreadPool& async_pool() const;
 
   std::shared_ptr<const Impl> impl_;
 };

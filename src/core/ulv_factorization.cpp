@@ -49,6 +49,14 @@ UlvEngine<T>::UlvEngine(const H2Matrix& a, const UlvOptions& opt)
       opt_(opt),
       depth_(a.tree().depth()) {
   opt_.validate();
+  if (opt_.pool != nullptr) {
+    pool_ = opt_.pool;
+  } else if (opt_.n_workers > 0) {
+    own_pool_ = std::make_unique<ThreadPool>(opt_.n_workers);
+    pool_ = own_pool_.get();
+  } else {
+    pool_ = &ThreadPool::global();
+  }
   // Out-of-core tier: the store must exist before factorize() so factor
   // blocks can spill at their release points instead of stacking up.
   if (!opt_.spill_dir.empty())
@@ -1212,47 +1220,27 @@ void UlvEngine<T>::factorize(const H2Matrix& a) {
 
   // Bottom-level priorities: the same ranking the scheduling simulator
   // list-schedules by, now driving the real executor.
-  if (opt_.priority == UlvPriority::CriticalPath) {
-    g.set_critical_path_priorities();
-    // Releases preempt compute the moment they fire: a ready release is
-    // microseconds of pointer work that returns megabytes. Left at their
-    // structural rank (sinks: bottom level 1) they would queue behind a
-    // whole level's compute and hold blocks exactly as long as the
-    // no-release ablation does.
-    if (!releases.empty()) {
-      const double top_rank =
-          1.0 + *std::max_element(g.priorities().begin(), g.priorities().end());
-      for (const TaskId t : releases) g.set_priority(t, top_rank);
-    }
+  g.set_critical_path_priorities();
+  // Releases preempt compute the moment they fire: a ready release is
+  // microseconds of pointer work that returns megabytes. Left at their
+  // structural rank (sinks: bottom level 1) they would queue behind a whole
+  // level's compute and hold blocks exactly as long as the no-release
+  // ablation does.
+  if (!releases.empty()) {
+    const double top_rank =
+        1.0 + *std::max_element(g.priorities().begin(), g.priorities().end());
+    for (const TaskId t : releases) g.set_priority(t, top_rank);
   }
 
-  // Execute on the configured pool: the caller's, a private one of
-  // n_workers, or the process-wide pool — never one the graph spawns
-  // itself. An explicit pool brings its own queue policy; otherwise the
-  // pool must match opt_.schedule, so a Fifo ablation never silently runs
-  // on the work-stealing global pool (or vice versa). Refuse a pool this
-  // thread is already a worker of (e.g. a factorization submitted onto the
-  // global pool): execute() blocks its caller, so feeding the DAG to our
-  // own pool could deadlock it.
-  const ThreadPool::QueuePolicy want = opt_.queue_policy();
-  ThreadPool* pool = opt_.pool;
-  std::unique_ptr<ThreadPool> owned;
-  // global() is always WorkSteal, so test `want` directly rather than
-  // global().policy(): a Fifo ablation must not lazily instantiate (and
-  // keep, for the process lifetime) a hardware-wide pool it will never use.
-  if (pool == nullptr && opt_.n_workers <= 0 &&
-      want == ThreadPool::QueuePolicy::WorkSteal)
-    pool = &ThreadPool::global();
-  if (pool == nullptr || pool == ThreadPool::current()) {
-    // The deadlock fallback mirrors the refused pool: same size, same
-    // policy (an explicit pool's policy wins even here — a Fifo ablation
-    // must not silently turn into a work-stealing run).
-    const int fallback = pool != nullptr      ? pool->size()
-                         : opt_.n_workers > 0 ? opt_.n_workers
-                                              : ThreadPool::env_threads();
-    owned = std::make_unique<ThreadPool>(
-        std::max(1, fallback), pool != nullptr ? pool->policy() : want);
-    pool = owned.get();
+  // Execute on the engine's pool — unless this thread is one of its workers
+  // (e.g. a factorization submitted onto the global pool): execute() blocks
+  // its caller, so feeding the DAG to our own pool could deadlock it. That
+  // case runs on a temporary pool of the same size.
+  std::unique_ptr<ThreadPool> temporary;
+  ThreadPool* pool = pool_;
+  if (pool == ThreadPool::current()) {
+    temporary = std::make_unique<ThreadPool>(pool->size());
+    pool = temporary.get();
   }
   ExecStats ex = g.execute(*pool);
 

@@ -88,11 +88,11 @@ class UlvEngine {
   /// ClusterTree::to_tree_order/from_tree_order, or the h2::Solver facade
   /// which handles the permutation). The forward/backward sweeps execute as
   /// a task DAG whose structure was recorded once at factorization time
-  /// (see solve_dag()). A solve running on a worker of the pool it would
-  /// execute on (a pipelined solve_async) runs the same graph inline on its
-  /// own thread instead. Every DAG shape, scheduling policy, and worker
-  /// count produces bitwise-identical solutions. Thread-safe: concurrent
-  /// solves on one factorization share only read-only factor data.
+  /// (see solve_dag()) on the engine's pool (see pool_). A solve running
+  /// on a worker of that pool runs the same graph inline on its own thread
+  /// instead. Every DAG shape and worker count produces bitwise-identical
+  /// solutions. Thread-safe: concurrent solves on one factorization share
+  /// only read-only factor data.
   void solve(MatrixView b) const;
 
   /// log|det A| from the triangular factors (orthogonal transforms drop out).
@@ -259,9 +259,9 @@ class UlvEngine {
   /// independent of nrhs.
   void build_solve_plan();
   /// Instantiate the plan for one right-hand side block and run it on
-  /// `pool` — or inline on the calling thread when it is a worker of
-  /// `pool` (no ExecStats published then).
-  void solve_via_dag(MatrixView b, ThreadPool& pool) const;
+  /// pool_ — or inline on the calling thread when it is a worker of pool_
+  /// (no ExecStats published then).
+  void solve_via_dag(MatrixView b) const;
   // Forward-sweep bodies (Eqs. 16-19).
   void sbody_transform(SolveScratch& s, ConstMatrixView b, int level,
                        int c) const;
@@ -327,6 +327,12 @@ class UlvEngine {
   const ClusterTree* tree_ = nullptr;
   BlockStructure structure_;  // copied: the H2Matrix may be discarded
   UlvOptions opt_;
+  /// The pool the factorization and every solve execute on, chosen once by
+  /// the constructor: UlvOptions::pool when given; else own_pool_, a pool
+  /// of n_workers this engine owns for its whole lifetime, when
+  /// n_workers > 0; else ThreadPool::global().
+  ThreadPool* pool_ = nullptr;
+  std::unique_ptr<ThreadPool> own_pool_;
   int depth_ = 0;
   /// Total tracked block bytes owned by THIS factorization — what the
   /// destructor discharges from the process-wide blockmem counter.
@@ -345,13 +351,6 @@ class UlvEngine {
   /// instantiated per solve by solve_via_dag (see solve_dag()).
   DagRecord solve_dag_;
   std::vector<SolveKind> solve_kind_;  ///< parallel to solve_dag_.meta
-  /// Owned pool for DAG solves when no explicit pool fits: n_workers > 0,
-  /// or a Fifo schedule (the global pool is always WorkSteal). Created
-  /// lazily on the FIRST solve (call_once: solves may race) and reused for
-  /// every later one — per-solve pools would pay thread spawn/join on each
-  /// right-hand side, and a factorize-only user should pay nothing.
-  mutable std::once_flag solve_pool_once_;
-  mutable std::unique_ptr<ThreadPool> solve_pool_;
 
   // ---- Out-of-core tier state. Declared after levels_/top_lu_ so the
   // store (whose threads may hold pointers into them) is destroyed first.

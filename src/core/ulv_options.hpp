@@ -46,40 +46,15 @@ enum class UlvExecutor {
   PhaseLoops,
 };
 
-/// Ready-queue discipline of the pool the TaskDag executor runs on.
-enum class UlvSchedule {
-  /// One shared queue (highest priority first, submission order on ties):
-  /// the pre-work-stealing behaviour, kept as the contention ablation — at
-  /// high worker counts every ready task crosses one lock.
-  Fifo,
-  /// Per-worker deques with randomized stealing (the default): LIFO-local
-  /// pops keep a block row's fill→basis→project chain on the worker whose
-  /// cache holds it; idle workers steal the oldest task from a random
-  /// victim, spreading breadth instead of leaves.
-  WorkSteal,
-};
-
 /// Element precision of the factorization's stored blocks and sweeps.
 /// F32 halves every factor block (storage, spill files, pool traffic) and
 /// runs the factorization and solve arithmetic in fp32; inputs are rounded
 /// once where the H2Matrix's fp64 data enters the engine, and accuracy is
 /// recovered by fp64 iterative refinement at the facade (see
 /// SolverOptions::precision / core/refine). Determinism contracts are
-/// per-precision: fp32 runs are bitwise identical across DAG shapes,
-/// schedules, and worker counts, exactly like fp64 runs.
+/// per-precision: fp32 runs are bitwise identical across DAG shapes and
+/// worker counts, exactly like fp64 runs.
 enum class Precision : std::uint8_t { F64, F32 };
-
-/// Ready-task ordering of the TaskDag executor.
-enum class UlvPriority {
-  /// Submission order only.
-  None,
-  /// Bottom-level (critical-path) priorities on the real DAG (the default),
-  /// computed by the same bottom_levels() the scheduling simulator ranks
-  /// by: tasks on the cross-level schur→merge→fill spine run before
-  /// same-level stragglers, so a level's drain no longer tails behind
-  /// width-1 readiness.
-  CriticalPath,
-};
 
 struct UlvOptions {
   /// Relative truncation tolerance of the shared-basis QR (and the skeleton
@@ -104,18 +79,14 @@ struct UlvOptions {
   /// Results are bitwise identical across shapes and worker counts: every
   /// task performs the same block operations in the same order.
   UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Ready-queue discipline for the TaskDag pool. Applies to the pool the
-  /// factorization creates (n_workers > 0, or a policy-mismatched global
-  /// pool); an explicit `pool` brings its own policy, which wins. Scheduling
-  /// never changes results — only when each task runs.
-  UlvSchedule schedule = UlvSchedule::WorkSteal;
-  /// Ready-task ordering for the TaskDag executor (see UlvPriority).
-  UlvPriority priority = UlvPriority::CriticalPath;
-  /// TaskDag worker count when no `pool` is given: a positive value spawns
-  /// a private pool of that size for this factorization; 0 uses the global
-  /// pool. Ignored when `pool` is set — an explicit pool always wins. Use
-  /// n_workers = 1 when recording task durations for the scheduling
-  /// simulator: replayed timings should be contention-free.
+  /// Worker count when no `pool` is given: a positive value makes the
+  /// engine own a pool of that size for its whole lifetime, shared by the
+  /// factorization and every solve; 0 uses the global pool. Ignored when
+  /// `pool` is set — an explicit pool always wins. Use n_workers = 1 when
+  /// recording task durations for the scheduling simulator: replayed
+  /// timings should be contention-free. Every DAG runs on a work-stealing
+  /// pool in critical-path priority order; the order never changes
+  /// results, only when each task runs.
   int n_workers = 0;
   /// Pool the task DAGs execute on (nullptr: by n_workers / the global
   /// pool).
@@ -168,12 +139,11 @@ struct UlvOptions {
   /// solve has no batch to be consistent with.
   bool width_stable_solve = false;
 
-  /// The ThreadPool queue discipline `schedule` maps onto — the ONE place
-  /// the mapping lives (executors and the api facade all size/spawn pools
-  /// through it).
+  /// Always ThreadPool::QueuePolicy::WorkSteal. Exists only for the
+  /// `ThreadPool(n, o.ulv_options().queue_policy())` call site in
+  /// perfbench/perfbench.cpp; goes away with the next change to perfbench.
   [[nodiscard]] ThreadPool::QueuePolicy queue_policy() const {
-    return schedule == UlvSchedule::Fifo ? ThreadPool::QueuePolicy::Fifo
-                                         : ThreadPool::QueuePolicy::WorkSteal;
+    return ThreadPool::QueuePolicy::WorkSteal;
   }
 
   /// Check the options; UlvFactorization runs this before factorizing.

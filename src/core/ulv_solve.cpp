@@ -2,7 +2,6 @@
 #include <functional>
 #include <cassert>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -465,17 +464,14 @@ void UlvEngine<T>::build_solve_plan() {
         [&add] { return add(SolveKind::kBarrier, "barrier", -1, -1); },
         [&rec](TaskId u, TaskId v) { rec.successors[u].push_back(v); });
   }
-  // Priorities follow the same knob as the factorization: under
-  // UlvPriority::None the record carries none (per DagRecord's contract),
-  // so the None-vs-CriticalPath scheduling ablation covers the solve too.
-  if (opt_.priority == UlvPriority::CriticalPath)
-    rec.priority = bottom_levels(rec.n_tasks(), rec.successors);
+  // Critical-path priorities, like the factorization's.
+  rec.priority = bottom_levels(rec.n_tasks(), rec.successors);
   solve_dag_ = std::move(rec);
   solve_kind_ = std::move(kinds);
 }
 
 template <class T>
-void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
+void UlvEngine<T>::solve_via_dag(MatrixView b) const {
   SolveScratch s;
   init_solve_scratch(s, b.cols());
   TaskGraph g;
@@ -530,16 +526,15 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
   if (ooc) {
     // Step tasks outrank every real task: once a step's work is done, the
     // window must move before stragglers of the same priority band run.
-    double step_priority = 0.0;
-    if (!solve_dag_.priority.empty())
-      step_priority = 1.0 + *std::max_element(solve_dag_.priority.begin(),
-                                              solve_dag_.priority.end());
+    const double step_priority =
+        1.0 + *std::max_element(solve_dag_.priority.begin(),
+                                solve_dag_.priority.end());
     std::vector<TaskId> step(n_spill_steps_);
     for (int st = 0; st < n_spill_steps_; ++st) {
       step[st] = g.add_task([&pass, st] { pass->advance(st); }, "spill_step",
                             st, -1);
       if (st > 0) g.add_dependency(step[st - 1], step[st]);
-      if (!solve_dag_.priority.empty()) g.set_priority(step[st], step_priority);
+      g.set_priority(step[st], step_priority);
     }
     for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
       const int st = task_step_[t];
@@ -548,7 +543,7 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
       if (st + 1 < n_spill_steps_) g.add_dependency(t, step[st + 1]);
     }
   }
-  if (&pool == ThreadPool::current()) {
+  if (pool_ == ThreadPool::current()) {
     // A solve running ON a worker of its own pool (a pipelined solve_async
     // batch) cannot block on that pool: run the same graph on this thread,
     // in topological order — whole solves then pipeline across the pool's
@@ -558,7 +553,7 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
     return;
   }
   const SpillStats ss0 = ooc ? store_->stats() : SpillStats{};
-  ExecStats ex = g.execute(pool);
+  ExecStats ex = g.execute(*pool_);
   if (ooc) {
     pass.reset();  // release the last step before reading the counters
     const SpillStats ss1 = store_->stats();
@@ -607,26 +602,7 @@ void UlvEngine<T>::solve(MatrixView b) const {
     getrs(top_lu_, top_piv_, b);
     return;
   }
-  // Pool selection: the caller's pool; else the owned solve pool when the
-  // (WorkSteal-only) global pool does not fit — n_workers > 0 or a Fifo
-  // schedule — created on the FIRST solve and reused for every later one;
-  // else the process-wide pool. A factorize-only user never pays for it.
-  ThreadPool* pool = opt_.pool;
-  if (pool == nullptr) {
-    const ThreadPool::QueuePolicy want = opt_.queue_policy();
-    if (opt_.n_workers > 0 || want == ThreadPool::QueuePolicy::Fifo) {
-      std::call_once(solve_pool_once_, [&] {
-        solve_pool_ = std::make_unique<ThreadPool>(
-            std::max(1, opt_.n_workers > 0 ? opt_.n_workers
-                                           : ThreadPool::env_threads()),
-            want);
-      });
-      pool = solve_pool_.get();
-    } else {
-      pool = &ThreadPool::global();
-    }
-  }
-  solve_via_dag(b, *pool);
+  solve_via_dag(b);
 }
 
 // The header's extern template declarations suppress implicit instantiation
@@ -638,8 +614,7 @@ void UlvEngine<T>::solve(MatrixView b) const {
       const;                                                                   \
   template void UlvEngine<T>::build_solve_plan();                              \
   template void UlvEngine<T>::build_spill_plan();                              \
-  template void UlvEngine<T>::solve_via_dag(MatrixViewT<T> b,                  \
-                                            ThreadPool& pool) const;           \
+  template void UlvEngine<T>::solve_via_dag(MatrixViewT<T> b) const;          \
   template void UlvEngine<T>::sbody_transform(UlvEngine<T>::SolveScratch& s,                 \
                                               ConstMatrixViewT<T> b,           \
                                               int level, int c) const;         \

@@ -77,9 +77,7 @@ void TaskGraph::set_out_bytes(TaskId id, double bytes) {
 void TaskGraph::set_priority(TaskId id, double priority) {
   assert(id >= 0 && id < n_tasks());
   priority_[id] = priority;
-  // Refinements on top of a structural policy keep its classification; only
-  // hand-assigned priorities from scratch are "custom".
-  if (std::string_view(priority_policy_) == "none") priority_policy_ = "custom";
+  priority_set_ = true;
 }
 
 void TaskGraph::set_critical_path_priorities() {
@@ -88,7 +86,7 @@ void TaskGraph::set_critical_path_priorities() {
   // before execution, and hop counts already give schur/merge drains their
   // head start (they sit on the cross-level spine).
   priority_ = bottom_levels(n_tasks(), successors_);
-  priority_policy_ = "critical-path";
+  priority_set_ = true;
 }
 
 void TaskGraph::add_dependency(TaskId before, TaskId after) {
@@ -150,8 +148,6 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
   ExecStats stats;
   stats.n_workers = pool.size();
   stats.records.resize(n);
-  stats.schedule_policy = pool.policy_name();
-  stats.priority_policy = priority_policy_;
   const std::vector<ThreadPool::WorkerCounters> counters0 =
       pool.worker_counters();
 
@@ -196,9 +192,7 @@ ExecStats TaskGraph::execute(ThreadPool& pool) {
     // Release the newly ready successors lowest priority FIRST: on a
     // work-stealing pool each push lands on this worker's LIFO deque, so the
     // last push — the highest bottom level — is the task it pops next, while
-    // thieves take the breadth end. On a Fifo pool the shared priority queue
-    // orders them anyway (stable sort keeps submission order on ties, which
-    // without priorities is the exact pre-priority behaviour).
+    // thieves take the breadth end (stable sort: ties keep edge order).
     std::vector<TaskId> ready;
     for (const TaskId succ : successors_[id])
       if (pending[succ].fetch_sub(1) == 1) ready.push_back(succ);
@@ -249,10 +243,6 @@ ExecStats TaskGraph::execute(int n_threads) {
 bool TaskGraph::write_trace_csv(const ExecStats& stats, const std::string& path) {
   std::ofstream f(path);
   if (!f) return false;
-  if (*stats.schedule_policy != '\0')
-    f << "# schedule=" << stats.schedule_policy
-      << " priority=" << stats.priority_policy
-      << " workers=" << stats.n_workers << '\n';
   for (std::size_t w = 0; w < stats.worker_counters.size(); ++w)
     f << "# worker=" << w
       << " executed=" << stats.worker_counters[w].executed

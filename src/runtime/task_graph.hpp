@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -43,10 +42,6 @@ struct ExecStats {
   double useful_seconds = 0.0;    ///< sum of task durations
   int n_workers = 0;
   std::vector<TaskRecord> records;
-  /// Ready-queue discipline of the executing pool ("fifo" / "worksteal").
-  const char* schedule_policy = "";
-  /// Task-ordering policy in effect ("none" / "critical-path").
-  const char* priority_policy = "";
   /// Per-worker-lane executed/stolen counts of THIS execution (deltas of the
   /// pool's cumulative counters; meaningful when the pool runs one graph at
   /// a time, which is how every executor in this repo uses it).
@@ -68,8 +63,8 @@ struct ExecStats {
   std::uint64_t prefetch_misses = 0;
   std::uint64_t spill_fault_bytes = 0;
 
-  /// Tasks that arrived at their worker by stealing (0 under Fifo or with a
-  /// single worker — a worker cannot steal from itself).
+  /// Tasks that arrived at their worker by stealing (0 with a single
+  /// worker — a worker cannot steal from itself).
   [[nodiscard]] std::uint64_t total_steals() const {
     std::uint64_t s = 0;
     for (const auto& w : worker_counters) s += w.stolen;
@@ -159,14 +154,12 @@ class TaskGraph {
   void add_dependency(TaskId before, TaskId after);
 
   /// Scheduling priority of one task (higher runs earlier once ready;
-  /// default 0). Under a Fifo pool the shared queue is a priority queue;
-  /// under WorkSteal the executor releases a task's ready successors lowest
-  /// priority first, so the highest sits on top of the worker's LIFO deque.
-  /// Classifies the policy as "custom" when no structural policy ran;
-  /// called after set_critical_path_priorities it refines individual ranks
-  /// without reclassifying (the factorization overlays its release tasks on
-  /// top of the critical-path ranking this way — the record's priority
-  /// vector always carries the actual values either way).
+  /// default 0). The executor releases a task's ready successors lowest
+  /// priority first, so the highest sits on top of the worker's LIFO deque;
+  /// the roots enter the pool's shared queue, which pops by priority.
+  /// Called after set_critical_path_priorities it refines individual ranks
+  /// (the factorization overlays its release tasks on top of the
+  /// critical-path ranking this way).
   void set_priority(TaskId id, double priority);
 
   /// Output payload of one task in bytes (what a cross-rank consumer of its
@@ -202,15 +195,14 @@ class TaskGraph {
   [[nodiscard]] const std::vector<TaskMeta>& meta() const { return meta_; }
 
   /// Copy out the callable-free structure (metadata + edges + priorities +
-  /// payloads). `priority` is exported only when a policy actually assigned
-  /// one (set_priority / set_critical_path_priorities); under the default
-  /// "none" policy it is empty — per DagRecord's contract — so replayers
-  /// branch on .empty() instead of misreading placeholder zeros. `out_bytes`
-  /// follows the same contract: empty unless set_out_bytes recorded any.
+  /// payloads). `priority` is exported only when one was assigned
+  /// (set_priority / set_critical_path_priorities); otherwise it is empty —
+  /// per DagRecord's contract — so replayers branch on .empty() instead of
+  /// misreading placeholder zeros. `out_bytes` follows the same contract:
+  /// empty unless set_out_bytes recorded any.
   [[nodiscard]] DagRecord record() const {
-    const bool assigned = std::string_view(priority_policy_) != "none";
     return {meta_, successors_,
-            assigned ? priority_ : std::vector<double>{},
+            priority_set_ ? priority_ : std::vector<double>{},
             out_bytes_set_.load(std::memory_order_acquire)
                 ? out_bytes_
                 : std::vector<double>{}};
@@ -246,8 +238,8 @@ class TaskGraph {
   ExecStats execute(int n_threads);
 
   /// Write the trace as CSV (task id, label, owner, level, worker, span).
-  /// `#`-prefixed comment lines ahead of the header carry the scheduling
-  /// policy and the per-worker executed/stolen counters.
+  /// `#`-prefixed comment lines ahead of the header carry the per-worker
+  /// executed/stolen counters.
   static bool write_trace_csv(const ExecStats& stats, const std::string& path);
 
  private:
@@ -257,7 +249,7 @@ class TaskGraph {
   std::vector<int> n_predecessors_;
   std::vector<double> priority_;
   std::vector<double> out_bytes_;
-  const char* priority_policy_ = "none";  // "none" / "custom" / "critical-path"
+  bool priority_set_ = false;  ///< any priority assigned (see record())
   /// Atomic because tasks may record their own payload mid-execution; the
   /// release store pairs with record()'s acquire load (record() runs after
   /// execute() returns, so the values themselves are already synchronized —

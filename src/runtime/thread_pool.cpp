@@ -11,7 +11,7 @@ thread_local int tl_worker_index = -1;
 thread_local ThreadPool* tl_pool = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(int n_threads, QueuePolicy policy) : policy_(policy) {
+ThreadPool::ThreadPool(int n_threads, QueuePolicy /*policy*/) {
   if (n_threads < 1) n_threads = 1;
   lanes_.reserve(n_threads);
   for (int i = 0; i < n_threads; ++i) lanes_.push_back(std::make_unique<Lane>());
@@ -42,7 +42,7 @@ void ThreadPool::submit(std::function<void()> task, double priority) {
   // must never land before our increment (the count would go negative and
   // the thief's "state_ == 0" idle edge would fire early or not at all).
   state_.fetch_add(kPendingOne);
-  const bool local = policy_ == QueuePolicy::WorkSteal && tl_pool == this;
+  const bool local = tl_pool == this;
   try {
     if (local) {
       // LIFO-local: a worker's freshly made-ready task goes on top of its
@@ -148,11 +148,8 @@ void ThreadPool::worker_loop(int index) {
   for (;;) {
     Item item;
     bool stolen = false;
-    bool got = (policy_ == QueuePolicy::WorkSteal && try_pop_local(index, item)) ||
-               try_pop_shared(item);
-    if (!got && policy_ == QueuePolicy::WorkSteal) {
-      got = stolen = try_steal(index, rng, item);
-    }
+    bool got = try_pop_local(index, item) || try_pop_shared(item);
+    if (!got) got = stolen = try_steal(index, rng, item);
     if (!got) {
       {
         std::unique_lock<std::mutex> lk(mutex_);
@@ -184,10 +181,6 @@ void ThreadPool::worker_loop(int index) {
       cv_idle_.notify_all();
     }
   }
-}
-
-const char* ThreadPool::policy_name() const {
-  return policy_ == QueuePolicy::Fifo ? "fifo" : "worksteal";
 }
 
 std::vector<ThreadPool::WorkerCounters> ThreadPool::worker_counters() const {

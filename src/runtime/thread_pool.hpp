@@ -12,28 +12,24 @@
 
 namespace h2 {
 
-/// Fixed-size worker pool. Two ready-queue disciplines:
-///
-///  - WorkSteal (default): one deque per worker. A worker pushes and pops its
-///    own deque at the BACK (LIFO — the task it just made ready is the one
-///    whose inputs are still hot, so a block row's fill→basis→project chain
-///    tends to stay on one worker), while idle workers steal from a random
-///    victim's FRONT (FIFO — the oldest task is the root of the largest
-///    untouched subtree, so steals spread breadth, not leaves). Submissions
-///    from non-worker threads land in a shared priority heap that every
-///    worker also drains.
-///  - Fifo: the pre-work-stealing behaviour, kept as the contention
-///    ablation — every task goes through one shared queue ordered by
-///    (priority desc, submission order asc); with no priorities this is the
-///    plain FIFO the library used before.
+/// Fixed-size work-stealing worker pool: one deque per worker. A worker
+/// pushes and pops its own deque at the BACK (LIFO — the task it just made
+/// ready is the one whose inputs are still hot, so a block row's
+/// fill→basis→project chain tends to stay on one worker), while idle
+/// workers steal from a random victim's FRONT (FIFO — the oldest task is
+/// the root of the largest untouched subtree, so steals spread breadth, not
+/// leaves). Submissions from non-worker threads land in a shared priority
+/// heap that every worker also drains.
 ///
 /// The `priority` argument of submit() orders the shared queue only; a
 /// worker's own deque is ordered by push order (callers that care — the
 /// TaskGraph executor — push ascending so the highest priority pops first).
 class ThreadPool {
  public:
-  /// Ready-queue discipline (see class comment).
-  enum class QueuePolicy { Fifo, WorkSteal };
+  /// The one ready-queue discipline. Exists only for the
+  /// `ThreadPool(n, o.ulv_options().queue_policy())` call site in
+  /// perfbench/perfbench.cpp; goes away with the next change to perfbench.
+  enum class QueuePolicy { WorkSteal };
 
   /// Per-worker execution counters since pool construction. `stolen` counts
   /// the subset of `executed` that was taken from another worker's deque —
@@ -44,7 +40,7 @@ class ThreadPool {
   };
 
   explicit ThreadPool(int n_threads,
-                      QueuePolicy policy = QueuePolicy::WorkSteal);
+                      QueuePolicy /*policy*/ = QueuePolicy::WorkSteal);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -52,17 +48,14 @@ class ThreadPool {
 
   /// Enqueue one task. `priority` (higher runs earlier) orders the shared
   /// queue; ties keep submission order. Calls from a worker of this pool
-  /// under the WorkSteal policy push to that worker's own deque instead
-  /// (LIFO-local; `priority` is then only a hint for thieves' victims).
+  /// push to that worker's own deque instead (LIFO-local; `priority` is
+  /// then ignored).
   void submit(std::function<void()> task, double priority = 0.0);
 
   /// Block until every queue is drained and every worker is idle.
   void wait_idle();
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
-  [[nodiscard]] QueuePolicy policy() const { return policy_; }
-  /// "fifo" or "worksteal" — the trace/CSV spelling of policy().
-  [[nodiscard]] const char* policy_name() const;
 
   /// Snapshot of the per-worker counters (index = worker lane). Counters are
   /// cumulative over the pool's lifetime; executors that need per-run values
@@ -89,12 +82,11 @@ class ThreadPool {
   /// testable — global() is initialized only once.
   static int env_threads();
 
-  /// Process-wide pool sized by env_threads() (WorkSteal policy).
+  /// Process-wide pool sized by env_threads().
   static ThreadPool& global();
 
  private:
-  /// A queued task. `seq` breaks priority ties in submission order so the
-  /// Fifo policy without priorities stays exactly FIFO.
+  /// A queued task. `seq` breaks priority ties in submission order.
   struct Item {
     std::function<void()> fn;
     double priority = 0.0;
@@ -116,7 +108,6 @@ class ThreadPool {
   bool try_pop_shared(Item& out);
   bool try_steal(int index, std::uint32_t& rng, Item& out);
 
-  const QueuePolicy policy_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 
   std::mutex mutex_;  ///< guards heap_ and stop_; anchors both cvs
@@ -129,8 +120,8 @@ class ThreadPool {
   /// tasks currently executing in the low 32 bits ("active"). One word,
   /// not two atomics: wait_idle's "all drained AND all idle" predicate is
   /// a single load (state_ == 0), so it can never pair a stale pending
-  /// with a fresh active. Not mutex-guarded: under WorkSteal the
-  /// local-deque fast path must not cross the pool-global lock per task —
+  /// with a fresh active. Not mutex-guarded: the local-deque fast path
+  /// must not cross the pool-global lock per task —
   /// submitters and finishing workers hand off to sleepers through the
   /// empty-critical-section pattern (state change, then lock/unlock
   /// mutex_, then notify), so a waiter either sees the new value or is

@@ -26,7 +26,7 @@ namespace {
 // bits: the geometry, the kernel (identity AND parameters — two Laplace
 // kernels with different regularization must not collide, so the name is
 // backed by probed evaluations), and the numerics-relevant options.
-// Execution knobs (executor, schedule, workers, pools) are deliberately
+// Execution knobs (executor, workers, pools) are deliberately
 // excluded: the solve is bitwise identical across them by construction.
 // ---------------------------------------------------------------------------
 
@@ -292,7 +292,7 @@ std::uint64_t Server::FactorHandle::resident_bytes() const {
 
 Server::FactorHandle Server::acquire(const PointCloud& points,
                                      const Kernel& kernel, SolverOptions opt) {
-  if (opt_.deterministic) opt.width_stable_solve = true;
+  opt.width_stable_solve = true;
   CacheKey key{digest_points(points), digest_kernel(kernel, points),
                digest_options(opt), kernel.name()};
 
@@ -358,10 +358,8 @@ Server::FactorHandle Server::acquire(const PointCloud& points,
         entry->solver.emplace(std::move(s));
         entry->bytes = bytes;
         // Coalescing needs the width-stable bitwise contract; only the ULV
-        // solve provides it. Without `deterministic` the contract is waived
-        // and every backend may batch.
-        entry->coalesce_ok =
-            opt_.coalesce && (!opt_.deterministic || is_ulv);
+        // solve provides it.
+        entry->coalesce_ok = opt_.coalesce && is_ulv;
         entry->ready = true;
       }
       entry->build_cv.notify_all();

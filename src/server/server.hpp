@@ -21,9 +21,8 @@
 /// single-RHS requests on the same factorization into blocked multi-RHS
 /// sweeps under a small deadline — recovering the ~2x+ RHS/s advantage
 /// blocked solves hold over one-at-a-time latency solves (BENCH_SOLVE /
-/// BENCH_SERVER trajectories) without changing a single answer: under the
-/// default deterministic mode a coalesced batch is bitwise equal to the same
-/// requests solved serially. docs/SERVER.md is the design doc;
+/// BENCH_SERVER trajectories) without changing a single answer: a coalesced
+/// batch is bitwise equal to the same requests solved serially. docs/SERVER.md is the design doc;
 /// docs/TUNING.md lists the env knobs.
 namespace h2 {
 
@@ -62,17 +61,13 @@ struct ServerOptions {
   /// Coalesce concurrently-arriving single-RHS requests on the same
   /// factorization into blocked sweeps (the throughput mode). `false`
   /// solves every request individually the moment it arrives (pure latency
-  /// mode — what bench_server_traffic's baseline measures).
+  /// mode — what bench_server_traffic's baseline measures). Coalescing
+  /// never changes an answer: cached solvers are built with
+  /// SolverOptions::width_stable_solve, so every solution column's bits are
+  /// independent of how many requests rode its sweep (ULV backends only —
+  /// BLR/HODLR solves are not width-stable and are never coalesced). Costs
+  /// single-RHS latency (see UlvOptions::width_stable_solve).
   bool coalesce = true;
-  /// The determinism contract: build cached solvers with
-  /// SolverOptions::width_stable_solve, making every solution column's bits
-  /// independent of how many requests were coalesced around it — a batched
-  /// sweep equals the same requests solved serially, bit for bit (ULV
-  /// backends; BLR/HODLR requests are never coalesced under this flag
-  /// since only the ULV solve is width-stable). Costs single-RHS latency
-  /// (see UlvOptions::width_stable_solve); `false` trades the bitwise
-  /// guarantee back for it.
-  bool deterministic = true;
   /// When non-empty (an existing writable directory), eviction DEMOTES ULV
   /// entries instead of destroying them: the factor's blocks move to spill
   /// files under this directory (Solver::demote_to_disk) and the entry
@@ -87,7 +82,6 @@ struct ServerOptions {
   ServerOptions& with_batch_deadline_us(long v) { batch_deadline_us = v; return *this; }  ///< chain-set batch_deadline_us
   ServerOptions& with_max_batch(int v) { max_batch = v; return *this; }  ///< chain-set max_batch
   ServerOptions& with_coalesce(bool v) { coalesce = v; return *this; }  ///< chain-set coalesce
-  ServerOptions& with_deterministic(bool v) { deterministic = v; return *this; }  ///< chain-set deterministic
   ServerOptions& with_spill_dir(std::string v) { spill_dir = std::move(v); return *this; }  ///< chain-set spill_dir
 
   /// Throws std::invalid_argument on nonsensical inputs (negative deadline,
@@ -196,7 +190,7 @@ class Server {
   /// structure, leaf_size, ... — execution knobs like n_workers are
   /// excluded: they do not change the bits). Concurrent acquires of one key
   /// build once (single-flight); losers block until the build finishes.
-  /// When `deterministic`, the build forces width_stable_solve. A build
+  /// The build forces width_stable_solve. A build
   /// failure propagates to every waiter and leaves no cache entry behind.
   [[nodiscard]] FactorHandle acquire(const PointCloud& points,
                                      const Kernel& kernel,
@@ -206,8 +200,8 @@ class Server {
   /// Solver::solve). Single-column requests on a busy factorization park up
   /// to batch_deadline_us and ride one blocked sweep with their
   /// contemporaries; multi-column requests and requests on an idle
-  /// factorization run immediately. Deterministic mode guarantees the
-  /// answer is bitwise the one a private Solver::solve would have produced.
+  /// factorization run immediately. The answer is bitwise the one a
+  /// private Solver::solve would have produced.
   /// Throws std::logic_error on an empty handle; rethrows backend errors.
   [[nodiscard]] Matrix solve(const FactorHandle& f, ConstMatrixView b);
 

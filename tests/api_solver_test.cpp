@@ -105,10 +105,10 @@ TEST(ApiSolver, HandlesOutliveTheSolver) {
 }
 
 TEST(ApiSolver, AbandonedAsyncSolveOnAPrivatePoolIsSafe) {
-  // With n_workers > 0 the Impl owns a private pool. If the queued async
-  // task held the LAST Impl reference and ran on that pool, releasing it
-  // there would destroy the pool from its own worker (self-join ->
-  // terminate). solve_async therefore pipelines on the global pool; this
+  // With n_workers > 0 the factorization owns a private pool. If the
+  // queued async task held the LAST Impl reference and ran on that pool,
+  // releasing it there would destroy the pool from its own worker
+  // (self-join -> terminate). solve_async therefore pipelines on the global pool; this
   // drops every handle and solver reference immediately to prove the
   // teardown path is safe.
   const int n = 256;
@@ -190,10 +190,10 @@ TEST(ApiSolver, MultiRhsSolveMatchesUlvCore) {
 
 TEST(ApiSolver, SolveStatsSurfaceThroughFacadeAndHandle) {
   const PointOrderProblem p = make_point_order_problem(384, 2);
-  // n_workers > 0: the facade owns ONE private pool, so direct solves run
-  // the DAG on it — and async solves pipelining on the GLOBAL pool still
-  // execute their inner DAG on the private one, so the handle's stats
-  // snapshot is populated too.
+  // n_workers > 0: the factorization owns ONE private pool, so direct
+  // solves run the DAG on it — and async solves pipelining on the GLOBAL
+  // pool still execute their inner DAG on the private one, so the handle's
+  // stats snapshot is populated too.
   const Solver solver = Solver::build(
       p.pts, *p.kernel, SolverOptions{}.with_tol(1e-8).with_workers(2));
   EXPECT_TRUE(solver.last_solve_stats().records.empty()) << "before any solve";

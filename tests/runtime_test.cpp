@@ -260,17 +260,15 @@ TEST(TaskGraph, MetadataReachesRecordsAndCsv) {
   const std::string path = ::testing::TempDir() + "/trace_meta_test.csv";
   ASSERT_TRUE(TaskGraph::write_trace_csv(stats, path));
   std::ifstream f(path);
-  // `#` comment lines carry the scheduling policy and per-worker counters
-  // ahead of the column header.
+  // `#` comment lines carry the per-worker counters ahead of the column
+  // header: one line for the one worker.
   std::string line;
   int comments = 0;
-  bool policy_comment = false;
   while (std::getline(f, line) && line.rfind("#", 0) == 0) {
     ++comments;
-    if (line.find("schedule=") != std::string::npos) policy_comment = true;
+    EXPECT_EQ(line.rfind("# worker=0 executed=2 stolen=0", 0), 0u) << line;
   }
-  EXPECT_GE(comments, 2);  // policy line + one worker-counter line
-  EXPECT_TRUE(policy_comment);
+  EXPECT_EQ(comments, 1);
   EXPECT_EQ(line, "task,label,owner,level,worker,t_start,t_end");
   std::string row;
   ASSERT_TRUE(std::getline(f, row));
@@ -288,7 +286,7 @@ TEST(TaskGraph, RecordExportsMetaAndEdges) {
   EXPECT_EQ(rec.meta[b].level, 3);
   ASSERT_EQ(rec.successors[a].size(), 1u);
   EXPECT_EQ(rec.successors[a][0], b);
-  // No priority policy ran: the record advertises that as an EMPTY vector,
+  // No priority was assigned: the record advertises that as an EMPTY vector,
   // not a full-length all-zeros one a replayer could mistake for real ranks.
   EXPECT_TRUE(rec.priority.empty());
   // Same contract for payloads: nothing recorded -> empty, so the dist
@@ -380,17 +378,9 @@ TEST(ThreadPool, EnvThreadsExplicitSignAccepted) {
   EXPECT_EQ(ThreadPool::env_threads(), 6);
 }
 
-TEST(ThreadPool, DefaultsToWorkStealing) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.policy(), ThreadPool::QueuePolicy::WorkSteal);
-  EXPECT_STREQ(pool.policy_name(), "worksteal");
-  ThreadPool fifo(2, ThreadPool::QueuePolicy::Fifo);
-  EXPECT_STREQ(fifo.policy_name(), "fifo");
-}
-
 TEST(ThreadPool, SingleWorkerNeverSteals) {
   // A worker cannot steal from itself: with one lane every task is local.
-  ThreadPool pool(1, ThreadPool::QueuePolicy::WorkSteal);
+  ThreadPool pool(1);
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) pool.submit([&] { ++count; });
   pool.wait_idle();
@@ -405,7 +395,7 @@ TEST(ThreadPool, StarvedWorkerActuallySteals) {
   // All sub-tasks are pushed onto ONE worker's local deque (the root task
   // submits them from inside the pool); the other worker has nothing and
   // must steal from the loaded deque's FIFO end to participate at all.
-  ThreadPool pool(2, ThreadPool::QueuePolicy::WorkSteal);
+  ThreadPool pool(2);
   std::atomic<int> count{0};
   pool.submit([&] {
     for (int i = 0; i < 64; ++i)
@@ -422,12 +412,13 @@ TEST(ThreadPool, StarvedWorkerActuallySteals) {
   EXPECT_GE(counters[0].stolen + counters[1].stolen, 1u);
 }
 
-TEST(ThreadPool, FifoPolicyRunsHighestPriorityFirst) {
-  // One worker, a gate task blocking it, three prioritized tasks queued
-  // behind: the shared queue must release them highest priority first.
-  // (If the worker has not yet claimed the gate, the gate's priority 10
-  // still sorts it first, so the observed order is identical.)
-  ThreadPool pool(1, ThreadPool::QueuePolicy::Fifo);
+TEST(ThreadPool, SharedQueueRunsHighestPriorityFirst) {
+  // One worker, a gate task blocking it, three prioritized tasks submitted
+  // from outside the pool (so they land in the shared queue, not a worker
+  // deque): they must be released highest priority first. (If the worker
+  // has not yet claimed the gate, the gate's priority 10 still sorts it
+  // first, so the observed order is identical.)
+  ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   pool.submit([opened] { opened.wait(); }, /*priority=*/10.0);
@@ -440,8 +431,8 @@ TEST(ThreadPool, FifoPolicyRunsHighestPriorityFirst) {
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
-TEST(ThreadPool, FifoPolicyKeepsSubmissionOrderOnEqualPriority) {
-  ThreadPool pool(1, ThreadPool::QueuePolicy::Fifo);
+TEST(ThreadPool, SharedQueueKeepsSubmissionOrderOnEqualPriority) {
+  ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   pool.submit([opened] { opened.wait(); }, /*priority=*/10.0);
@@ -493,16 +484,14 @@ TEST(TaskGraph, CriticalPathPrioritiesAreBottomLevels) {
   EXPECT_DOUBLE_EQ(rec.priority[a], 3.0);
 }
 
-TEST(TaskGraph, ExecStatsCarryPolicyAndPerRunCounters) {
-  ThreadPool pool(1);  // WorkSteal by default
+TEST(TaskGraph, ExecStatsCarryPerRunCounters) {
+  ThreadPool pool(1);
   for (int round = 0; round < 2; ++round) {
     TaskGraph g;
     const int n = 16 + round;
     for (int i = 0; i < n; ++i) g.add_task([] {}, "t");
     g.set_critical_path_priorities();
     const ExecStats stats = g.execute(pool);
-    EXPECT_STREQ(stats.schedule_policy, "worksteal");
-    EXPECT_STREQ(stats.priority_policy, "critical-path");
     ASSERT_EQ(stats.worker_counters.size(), 1u);
     // Deltas, not the pool's cumulative counters: round 2 sees only its own.
     EXPECT_EQ(stats.worker_counters[0].executed,
@@ -528,25 +517,28 @@ TEST(TaskGraph, PrioritizedExecutionStillRespectsDependencies) {
   g.add_dependency(b, c);
   g.set_priority(c, 1000.0);
   g.set_priority(a, 0.5);
-  const ExecStats stats = g.execute(4);
+  (void)g.execute(4);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_STREQ(stats.priority_policy, "custom");
+  // Hand-assigned priorities travel with the record like structural ones.
+  const DagRecord rec = g.record();
+  ASSERT_EQ(rec.priority.size(), 3u);
+  EXPECT_EQ(rec.priority[c], 1000.0);
 }
 
-TEST(TaskGraph, SetPriorityRefinesCriticalPathWithoutReclassifying) {
-  // The factorization boosts its release tasks AFTER the structural policy
-  // ran; the record must keep reporting "critical-path" (refinement, not a
-  // hand-rolled ordering) while carrying the overridden value.
+TEST(TaskGraph, SetPriorityRefinesCriticalPath) {
+  // The factorization boosts its release tasks AFTER the critical-path
+  // ranking ran; the record carries the overridden value and keeps the
+  // structural rank of every other task.
   TaskGraph g;
   const TaskId a = g.add_task([] {}, "a");
   const TaskId b = g.add_task([] {}, "b");
   g.add_dependency(a, b);
   g.set_critical_path_priorities();
   g.set_priority(b, 99.0);
-  const ExecStats stats = g.execute(1);
-  EXPECT_STREQ(stats.priority_policy, "critical-path");
+  (void)g.execute(1);
   const DagRecord rec = g.record();
   ASSERT_EQ(rec.priority.size(), 2u);
+  EXPECT_EQ(rec.priority[a], 2.0);
   EXPECT_EQ(rec.priority[b], 99.0);
 }
 

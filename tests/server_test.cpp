@@ -71,8 +71,8 @@ TEST(ServerCache, HitReturnsBitwiseIdenticalSolutionsToColdBuild) {
   const Matrix x_hit = server.solve(hit, b);
   EXPECT_TRUE(bitwise_equal(x_cold, x_hit));
 
-  // A private facade build with the same numerics (the server forces
-  // width_stable_solve under its default deterministic mode) agrees bitwise
+  // A private facade build with the same numerics (the server always
+  // forces width_stable_solve) agrees bitwise
   // — the cache changes WHERE the factorization lives, never the answer.
   const Solver private_build =
       Solver::build(pts, kern, cheap_opts().with_width_stable_solve(true));
@@ -455,8 +455,6 @@ TEST(ServerCache, DigestCoversEveryNumericsOptionAndNoExecutionKnob) {
   // Execution-only: identical bits by the determinism contract, so the
   // first entry must be reused.
   expect_hit(cheap_opts().with_executor(UlvExecutor::PhaseLoops), "executor");
-  expect_hit(cheap_opts().with_schedule(UlvSchedule::Fifo), "schedule");
-  expect_hit(cheap_opts().with_priority(UlvPriority::None), "priority");
   expect_hit(cheap_opts().with_workers(3), "n_workers");
   expect_hit(cheap_opts().with_record_tasks(true), "record_tasks");
   expect_hit(cheap_opts().with_spill_budget_mb(512.0), "spill_budget_mb");

@@ -129,68 +129,31 @@ TEST(UlvDag, MergeToFillEdgesLinkAdjacentLevels) {
   EXPECT_EQ(barrier_like, 0);
 }
 
-TEST(UlvDag, WorkerCountDoesNotChangeTheAnswer) {
+TEST(UlvDag, WorkerCountsAreBitwiseIdentical) {
   // Every task performs the same block operations in the same order, so the
-  // factorization is bitwise reproducible across worker counts — scheduling
-  // only changes WHEN a task runs, never what it computes.
-  const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
-  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
-  UlvOptions u;
-  u.tol = 1e-9;
-  u.n_workers = 1;
-  const RunResult r1 = run(p, h, u);
-  EXPECT_LT(r1.residual, 1e-5);
-  for (const int workers : {2, 4}) {
-    UlvOptions uk = u;
-    uk.n_workers = workers;
-    const RunResult rk = run(p, h, uk);
-    EXPECT_LE(rel_error_fro(rk.x, r1.x), 1e-14) << workers << " workers";
-    EXPECT_EQ(rk.logabsdet, r1.logabsdet) << workers << " workers";
-  }
-}
-
-TEST(UlvDag, SchedulerMatrixIsBitwiseIdentical) {
-  // Scheduling policy and worker count may only change WHEN a task runs —
-  // every cell of the {Fifo, WorkSteal} x {None, CriticalPath} x {1, 4, 8}
-  // matrix must reproduce the single-worker FIFO baseline bit for bit.
+  // factorization is bitwise reproducible across worker counts — the
+  // scheduler only changes WHEN a task runs, never what it computes. Each
+  // cell reproduces the single-worker free DAG bit for bit (the 1-worker
+  // cell is a second run of the baseline itself).
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
   UlvOptions ref;
   ref.tol = 1e-9;
   ref.n_workers = 1;
-  ref.schedule = UlvSchedule::Fifo;
-  ref.priority = UlvPriority::None;
   const RunResult r1 = run(p, h, ref);
   EXPECT_LT(r1.residual, 1e-5);
-  for (const UlvSchedule sched : {UlvSchedule::Fifo, UlvSchedule::WorkSteal}) {
-    for (const UlvPriority prio :
-         {UlvPriority::None, UlvPriority::CriticalPath}) {
-      for (const int workers : {1, 4, 8}) {
-        if (sched == ref.schedule && prio == ref.priority && workers == 1)
-          continue;  // the baseline itself
-        UlvOptions u = ref;
-        u.schedule = sched;
-        u.priority = prio;
-        u.n_workers = workers;
-        const RunResult rk = run(p, h, u);
-        const std::string cell =
-            std::string(sched == UlvSchedule::Fifo ? "fifo" : "worksteal") +
-            " x " + (prio == UlvPriority::None ? "none" : "critical-path") +
-            " x " + std::to_string(workers) + " workers";
-        EXPECT_EQ(rel_error_fro(rk.x, r1.x), 0.0) << cell;
-        EXPECT_EQ(rk.logabsdet, r1.logabsdet) << cell;
-      }
-    }
+  for (const int workers : {1, 2, 4, 8}) {
+    UlvOptions u = ref;
+    u.n_workers = workers;
+    const RunResult rk = run(p, h, u);
+    EXPECT_EQ(rel_error_fro(rk.x, r1.x), 0.0) << workers << " workers";
+    EXPECT_EQ(rk.logabsdet, r1.logabsdet) << workers << " workers";
   }
 }
 
-TEST(UlvDag, DefaultPolicyIsWorkStealWithCriticalPath) {
-  const UlvOptions defaults;
-  EXPECT_EQ(defaults.schedule, UlvSchedule::WorkSteal);
-  EXPECT_EQ(defaults.priority, UlvPriority::CriticalPath);
-
-  // The recorded execution reports the policy it ran under, one counter lane
-  // per worker, and every task accounted for exactly once.
+TEST(UlvDag, RecordedRunCarriesCountersAndCriticalPathPriorities) {
+  // The recorded execution reports one counter lane per worker, and every
+  // task accounted for exactly once.
   const Problem p = make_problem(512, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions u;
@@ -199,8 +162,6 @@ TEST(UlvDag, DefaultPolicyIsWorkStealWithCriticalPath) {
   u.n_workers = 4;
   const UlvFactorization f(h, u);
   const ExecStats& ex = f.stats().exec;
-  EXPECT_STREQ(ex.schedule_policy, "worksteal");
-  EXPECT_STREQ(ex.priority_policy, "critical-path");
   ASSERT_EQ(ex.worker_counters.size(), 4u);
   std::uint64_t executed = 0;
   for (const auto& w : ex.worker_counters) executed += w.executed;
@@ -394,21 +355,25 @@ TEST(UlvDag, BarrierShapeAddsOnlyBarriers) {
 
 TEST(UlvDag, FactorizingFromAPoolWorkerDoesNotDeadlock) {
   // A factorization submitted onto the very pool the DAG would execute on
-  // must fall back to a private pool — a worker blocking on work queued
-  // behind itself would hang forever.
+  // must fall back to a temporary pool of the same size — a worker
+  // blocking on work queued behind itself would hang forever.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
-  ThreadPool pool(1);
+  ThreadPool pool(2);
   std::atomic<bool> solved{false};
+  std::atomic<int> fallback_workers{0};
   pool.submit([&] {
     UlvOptions u;
     u.tol = 1e-8;
+    u.record_tasks = true;
     u.pool = &pool;  // deliberately the pool this task runs on
     const UlvFactorization f(h, u);
     solved = std::isfinite(f.logabsdet());
+    fallback_workers = f.stats().exec.n_workers;
   });
   pool.wait_idle();
   EXPECT_TRUE(solved.load());
+  EXPECT_EQ(fallback_workers.load(), 2);
 }
 
 TEST(UlvDag, RecordedDagCoversEveryPhaseAndLevel) {
