@@ -6,8 +6,9 @@
 ///   --gate     self-timed naive-vs-blocked sweep. Writes BENCH_LINALG.json
 ///              (one JSON object per line, awk-parseable like
 ///              BENCH_MEMORY.json) and exits nonzero unless the blocked gemm
-///              sustains >= 2x the naive GFlop/s at n in {64, 128, 256} —
-///              the PR acceptance bar CI's bench-smoke job enforces. Ratios
+///              sustains >= 2x the naive GFlop/s at n in {64, 128, 256} and
+///              the blocked pivoted QR >= 1.5x the unblocked one at m in
+///              {128, 256} — the bars CI's bench-smoke job enforces. Ratios
 ///              (not absolute rates) are what the gate and the committed
 ///              trajectory compare: both sides of each ratio run on the same
 ///              host in the same process, so the number is portable across
@@ -304,6 +305,23 @@ int run_gate() {
     });
     cells.push_back({"qr", n, fl / tn * 1e-9, fl / tb * 1e-9});
   }
+  for (const bool f32 : {false, true}) {
+    // The fill/basis compression kernel on an m x 4m input: the unblocked
+    // reference loop (naive::pivoted_qr) against the blocked panel kernel,
+    // both at the cell's precision, full rank (tol below rounding).
+    for (const int m : {128, 256}) {
+      const Matrix a = Matrix::random(m, 4 * m, rng);
+      const MatrixF af = to_f32(a);
+      const double fl = static_cast<double>(
+          2ull * m * 4 * m + flops::geqrf(m, 4 * m) + 2ull * m * m * m);
+      const double tn = f32 ? time_best([&] { (void)naive::pivoted_qr(af, 0.0); })
+                            : time_best([&] { (void)naive::pivoted_qr(a, 0.0); });
+      const double tb = f32 ? time_best([&] { (void)pivoted_qr(af, 0.0); })
+                            : time_best([&] { (void)pivoted_qr(a, 0.0); });
+      cells.push_back({f32 ? "pivoted_qr_f32" : "pivoted_qr", m,
+                       fl / tn * 1e-9, fl / tb * 1e-9});
+    }
+  }
   {
     // Batched vs looped gemm, shared left operand (the pack-cache case).
     const int n = 64;
@@ -353,11 +371,18 @@ int run_gate() {
                   cell.ratio());
       ok = false;
     }
+    if ((cell.op == "pivoted_qr" || cell.op == "pivoted_qr_f32") &&
+        cell.ratio() < 1.5 && std::strcmp(tiling.isa, "generic") != 0) {
+      std::printf("GATE FAIL: %s m=%d ratio %.2f < 1.5\n", cell.op.c_str(),
+                  cell.n, cell.ratio());
+      ok = false;
+    }
   }
   std::fclose(json);
   std::printf(
       "linalg gate: %s (gemm >= 2x naive, gemm_f32 >= 1.6x fp64 blocked "
-      "at n in {64,128,256})\n",
+      "at n in {64,128,256}; pivoted_qr, pivoted_qr_f32 >= 1.5x unblocked "
+      "at m in {128,256})\n",
       ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
@@ -478,6 +479,92 @@ void gemm_nocount_impl(T alpha, ConstMatrixViewT<T> a, Trans ta,
   }
 }
 
+// ---------------------------------------------------------------------------
+// y = Aᵀx. Each column's dot product accumulates into one vector of per-lane
+// partial sums (a GCC/Clang vector type: one zmm on AVX-512, one ymm
+// otherwise), and eight columns share each load of x, which also gives the
+// FMA pipes eight independent chains. The lanes are then summed pairwise and
+// the m % lanes tail added, in one fixed order, so the bits of y[j] do not
+// depend on how the columns were grouped.
+// ---------------------------------------------------------------------------
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+#else
+constexpr int kVecBytes = 32;
+#endif
+
+template <class T, int Bytes>
+struct Vec {
+  typedef T type __attribute__((vector_size(Bytes)));
+};
+
+// Pairwise lane sum: fold the upper half onto the lower until two lanes are
+// left (log2(lanes) dependent adds, each step a register shuffle).
+template <class V, std::size_t... I>
+auto fold_halves(V v, std::index_sequence<I...>) {
+  return __builtin_shufflevector(v, v, I...) +
+         __builtin_shufflevector(v, v, (I + sizeof...(I))...);
+}
+template <class T, class V>
+T sum_lanes(V v) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
+  if constexpr (kLanes == 2) {
+    return v[0] + v[1];
+  } else {
+    return sum_lanes<T>(fold_halves(v, std::make_index_sequence<kLanes / 2>{}));
+  }
+}
+
+template <class T>
+void gemv_t_impl(ConstMatrixViewT<T> a, const T* x, T* y) {
+  using V = typename Vec<T, kVecBytes>::type;
+  constexpr int kLanes = kVecBytes / sizeof(T);
+  constexpr int kCols = 8;
+  const int m = a.rows(), n = a.cols();
+  const int mv = m - m % kLanes;
+  auto load = [](const T* p) {
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  };
+  auto finish = [&](V acc, const T* c) {
+    T s = sum_lanes<T>(acc);
+    for (int i = mv; i < m; ++i) s += c[i] * x[i];
+    return s;
+  };
+  int j = 0;
+  for (; j + kCols <= n; j += kCols) {
+    const T* c[kCols];
+    for (int l = 0; l < kCols; ++l) c[l] = a.col(j + l);
+    V s0 = {}, s1 = {}, s2 = {}, s3 = {}, s4 = {}, s5 = {}, s6 = {}, s7 = {};
+    for (int i = 0; i < mv; i += kLanes) {
+      const V xv = load(x + i);
+      s0 += load(c[0] + i) * xv;
+      s1 += load(c[1] + i) * xv;
+      s2 += load(c[2] + i) * xv;
+      s3 += load(c[3] + i) * xv;
+      s4 += load(c[4] + i) * xv;
+      s5 += load(c[5] + i) * xv;
+      s6 += load(c[6] + i) * xv;
+      s7 += load(c[7] + i) * xv;
+    }
+    y[j] = finish(s0, c[0]);
+    y[j + 1] = finish(s1, c[1]);
+    y[j + 2] = finish(s2, c[2]);
+    y[j + 3] = finish(s3, c[3]);
+    y[j + 4] = finish(s4, c[4]);
+    y[j + 5] = finish(s5, c[5]);
+    y[j + 6] = finish(s6, c[6]);
+    y[j + 7] = finish(s7, c[7]);
+  }
+  for (; j < n; ++j) {
+    const T* c0 = a.col(j);
+    V acc = {};
+    for (int i = 0; i < mv; i += kLanes) acc += load(c0 + i) * load(x + i);
+    y[j] = finish(acc, c0);
+  }
+}
+
 }  // namespace
 
 GemmTiling gemm_tiling() noexcept {
@@ -517,6 +604,14 @@ void gemm_nocount(double alpha, ConstMatrixViewF a, Trans ta,
                   ConstMatrixViewF b, Trans tb, double beta, MatrixViewF c) {
   gemm_nocount_impl<float>(static_cast<float>(alpha), a, ta, b, tb,
                            static_cast<float>(beta), c);
+}
+
+void gemv_t_nocount(ConstMatrixView a, const double* x, double* y) {
+  gemv_t_impl<double>(a, x, y);
+}
+
+void gemv_t_nocount(ConstMatrixViewF a, const float* x, float* y) {
+  gemv_t_impl<float>(a, x, y);
 }
 
 void invalidate_packs(ConstMatrixView written) {

@@ -60,6 +60,15 @@ void gemm_nocount(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b,
 void gemm_nocount(double alpha, ConstMatrixViewF a, Trans ta,
                   ConstMatrixViewF b, Trans tb, double beta, MatrixViewF c);
 
+/// y[j] = dot(A(:, j), x) for every column j of A, WITHOUT flop accounting:
+/// the Aᵀ·v product of the blocked column-pivoted QR (qr.cpp), which lives
+/// here to run with this unit's SIMD flags. Each dot product keeps one
+/// partial sum per vector lane and reduces them in a fixed order, so every
+/// y[j] depends only on A(:, j), x and m — never on alignment, on n or on
+/// the neighbouring columns.
+void gemv_t_nocount(ConstMatrixView a, const double* x, double* y);
+void gemv_t_nocount(ConstMatrixViewF a, const float* x, float* y);
+
 /// Drop any memoized pack whose source range overlaps `written`. gemm itself
 /// invalidates its own C; kernels that write through non-gemm paths (naive
 /// trsm sweeps, panel factors, scratch refills) must call this after writing

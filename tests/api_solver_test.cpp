@@ -257,6 +257,69 @@ TEST(ApiSolver, SingularCloudThrowsOnTheCallerUnderEveryShape) {
   }
 }
 
+/// Relative residual ||A x - b|| / ||b|| of an H2 solve on `pts` at
+/// `precision` (0 for an empty cloud, whose solve must still succeed).
+double degenerate_residual(const PointCloud& pts, Precision precision) {
+  const LaplaceKernel kernel(1e-2);
+  const int n = static_cast<int>(pts.size());
+  const Solver solver = Solver::build(
+      pts, kernel, SolverOptions{}.with_tol(1e-8).with_precision(precision));
+  EXPECT_EQ(solver.n(), n);
+  Rng rng(3);
+  const Matrix b = Matrix::random(n, 1, rng);
+  const Matrix x = solver.solve(b);
+  EXPECT_EQ(x.rows(), n);
+  if (n == 0) return 0.0;
+  const Matrix a = kernel_dense(kernel, pts);
+  Matrix ax(n, 1);
+  gemm(1.0, a, Trans::No, x, Trans::No, 0.0, ax);
+  return rel_error_fro(ax, b);
+}
+
+TEST(ApiSolver, DegenerateCloudsSolveOrFailTyped) {
+  // Degenerate geometry sends zero, rank-deficient and narrower-than-a-panel
+  // concatenations through the fill and basis compressions: a plane, a line,
+  // a cube squashed 1e6:1 along one axis, fewer points than one leaf, and no
+  // points at all must each solve to the residual bound at both precisions.
+  // Duplicated points make the matrix exactly singular and must end in a
+  // typed NumericalError instead.
+  Rng rng(21);
+  PointCloud planar = uniform_cube(768, rng);
+  for (Point& q : planar) q.z = 0.0;
+  PointCloud collinear = uniform_cube(512, rng);
+  for (Point& q : collinear) q.y = q.z = 0.0;
+  PointCloud anisotropic = uniform_cube(768, rng);
+  for (Point& q : anisotropic) {
+    q.x *= 1e3;
+    q.z *= 1e-3;
+  }
+  const PointCloud tiny = uniform_cube(50, rng);  // below the 128-point leaf
+  const PointCloud empty;
+  PointCloud duplicated = uniform_cube(512, rng);
+  for (std::size_t i = 1; i < duplicated.size(); i += 2)
+    duplicated[i] = duplicated[i - 1];
+
+  struct Case {
+    const char* name;
+    const PointCloud* pts;
+  };
+  const Case cases[] = {{"planar", &planar},
+                        {"collinear", &collinear},
+                        {"anisotropic 1e6", &anisotropic},
+                        {"N < leaf", &tiny},
+                        {"N = 0", &empty}};
+  for (const Precision precision : {Precision::F64, Precision::F32}) {
+    const char* prec = precision == Precision::F64 ? "fp64" : "fp32";
+    for (const Case& c : cases)
+      EXPECT_LT(degenerate_residual(*c.pts, precision), 1e-5)
+          << c.name << " " << prec;
+    EXPECT_THROW((void)Solver::build(duplicated, LaplaceKernel(1e-2),
+                                     SolverOptions{}.with_precision(precision)),
+                 NumericalError)
+        << "duplicated " << prec;
+  }
+}
+
 TEST(ApiSolver, OptionsValidation) {
   const PointOrderProblem p = make_point_order_problem(64, 1);
   EXPECT_THROW(Solver::build(p.pts, *p.kernel, SolverOptions{}.with_tol(0.0)),

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/batch.hpp"
@@ -348,6 +350,166 @@ TEST(Batched, QrBatchBitwiseEqualsLoop) {
   }
 }
 
+/// m x n matrix with singular values decaying like `decay`^i (distinct gaps,
+/// so the fp64 pivot order is well defined).
+Matrix decaying(int m, int n, double decay, Rng& rng) {
+  const int k = std::min(m, n);
+  Matrix u = Matrix::random_normal(m, k, rng);
+  Matrix v = Matrix::random_normal(k, n, rng);
+  for (int i = 0; i < k; ++i)
+    for (int j = 0; j < n; ++j) v(i, j) *= std::pow(decay, i);
+  return matmul(u, v);
+}
+
+/// ||A(:, jpvt) - Q(:, 0:rank) R||_F / ||A||_F and max |Q^T Q - I|.
+template <class T>
+std::pair<double, double> pivoted_qr_errors(const Matrix& a,
+                                            const PivotedQrT<T>& f) {
+  const int m = a.rows(), n = a.cols();
+  double num = 0.0, den = 0.0;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) {
+      double qr = 0.0;
+      for (int l = 0; l < f.rank && l <= j; ++l)
+        qr += static_cast<double>(f.q(i, l)) * static_cast<double>(f.r(l, j));
+      const double d = a(i, f.jpvt[j]) - qr;
+      num += d * d;
+      den += a(i, j) * a(i, j);
+    }
+  double orth = 0.0;
+  for (int j = 0; j < m; ++j)
+    for (int i = 0; i < m; ++i) {
+      double s = 0.0;
+      for (int l = 0; l < m; ++l)
+        s += static_cast<double>(f.q(l, i)) * static_cast<double>(f.q(l, j));
+      orth = std::max(orth, std::fabs(s - (i == j ? 1.0 : 0.0)));
+    }
+  return {den > 0.0 ? std::sqrt(num / den) : std::sqrt(num), orth};
+}
+
+void expect_pivots_match_oracle(const Matrix& a, double rel_tol, int max_rank,
+                                const std::string& what) {
+  const PivotedQr f = pivoted_qr(a, rel_tol, max_rank);
+  const PivotedQr ref = naive::pivoted_qr(a, rel_tol, max_rank);
+  ASSERT_EQ(f.rank, ref.rank) << what;
+  EXPECT_EQ(f.jpvt, ref.jpvt) << what;
+  const auto [err, orth] = pivoted_qr_errors(a, f);
+  const auto [ref_err, ref_orth] = pivoted_qr_errors(a, ref);
+  // Full-rank factorizations reconstruct to rounding; truncated ones to the
+  // oracle's truncation error.
+  EXPECT_LE(err, std::max(1e-12, 1.01 * ref_err + 1e-12)) << what;
+  EXPECT_LT(orth, 1e-13) << what;
+}
+
+TEST(BlockedPivotedQr, MatchesUnblockedOracleAcrossPanelBoundaries) {
+  // Shapes on either side of the 32-step panel, plus a wide basis-shaped
+  // block that runs many panels.
+  Rng rng(61);
+  const int dims[] = {31, 32, 33, 65, 200};
+  for (const int m : dims)
+    for (const int n : dims) {
+      const Matrix a = decaying(m, n, 0.9, rng);
+      expect_pivots_match_oracle(a, 0.0, -1,
+                                 std::to_string(m) + "x" + std::to_string(n));
+    }
+  expect_pivots_match_oracle(decaying(200, 1400, 0.9, rng), 0.0, -1,
+                             "200x1400");
+}
+
+TEST(BlockedPivotedQr, StopsMidPanelOnRankTolAndCap) {
+  Rng rng(67);
+  // Exact rank 40: the 41st pivot norm is rounding noise.
+  const Matrix lr = matmul(Matrix::random_normal(120, 40, rng),
+                           Matrix::random_normal(40, 300, rng));
+  expect_pivots_match_oracle(lr, 1e-12, -1, "exact rank 40");
+  EXPECT_EQ(pivoted_qr(lr, 1e-12).rank, 40);
+  const Matrix a = decaying(150, 500, 0.8, rng);
+  const PivotedQr f = pivoted_qr(a, 1e-6);
+  EXPECT_GT(f.rank % 32, 0) << "tolerance stop should land mid-panel";
+  expect_pivots_match_oracle(a, 1e-6, -1, "rel_tol 1e-6");
+  expect_pivots_match_oracle(a, 0.0, 45, "max_rank 45");
+  EXPECT_EQ(pivoted_qr(a, 0.0, 45).rank, 45);
+}
+
+TEST(BlockedPivotedQr, NearlyParallelColumnsTripTheNormGuard) {
+  // Groups of near-copies: once a group's first column is pivoted, its
+  // siblings' norms cancel to ~1e-9 of their start, which trips the
+  // downdate guard and ends the panel early.
+  Rng rng(71);
+  const int m = 90, groups = 24, copies = 6;
+  const Matrix base = decaying(m, groups, 0.7, rng);
+  Matrix a(m, groups * copies);
+  for (int g = 0; g < groups; ++g)
+    for (int c = 0; c < copies; ++c)
+      for (int i = 0; i < m; ++i)
+        a(i, g * copies + c) =
+            base(i, g) * (1.0 + 0.1 * c) + 1e-9 * rng.uniform(-1.0, 1.0);
+  expect_pivots_match_oracle(a, 0.0, -1, "near-parallel");
+  expect_pivots_match_oracle(a, 1e-12, -1, "near-parallel, truncated");
+}
+
+TEST(BlockedPivotedQr, ZeroEmptyAndNarrowInputs) {
+  Rng rng(73);
+  for (const auto& [m, n] :
+       std::vector<std::pair<int, int>>{{40, 60}, {0, 5}, {5, 0}, {0, 0}}) {
+    const PivotedQr f = pivoted_qr(Matrix(m, n), 1e-8);
+    EXPECT_EQ(f.rank, 0);
+    EXPECT_EQ(f.r.rows(), 0);
+    EXPECT_EQ(f.r.cols(), n);
+    ASSERT_EQ(f.q.rows(), m);
+    ASSERT_EQ(f.q.cols(), m);
+    for (int j = 0; j < m; ++j)
+      for (int i = 0; i < m; ++i) ASSERT_EQ(f.q(i, j), i == j ? 1.0 : 0.0);
+    for (int j = 0; j < n; ++j) EXPECT_EQ(f.jpvt[j], j);
+  }
+  for (const int n : {1, 7, 20}) {
+    expect_pivots_match_oracle(decaying(50, n, 0.9, rng), 0.0, -1,
+                               "50x" + std::to_string(n));
+  }
+}
+
+TEST(BlockedPivotedQr, Fp32HoldsItsErrorBound) {
+  Rng rng(79);
+  for (const auto& [m, n] : std::vector<std::pair<int, int>>{
+           {33, 65}, {65, 33}, {128, 512}, {200, 1400}}) {
+    const Matrix a = decaying(m, n, 0.9, rng);
+    const PivotedQrF f = pivoted_qr(to_f32(a), 0.0);
+    const auto [err, orth] = pivoted_qr_errors(a, f);
+    EXPECT_LT(err, 1e-5) << m << "x" << n;
+    EXPECT_LT(orth, 1e-5) << m << "x" << n;
+    const PivotedQrF t = pivoted_qr(to_f32(a), 1e-4);
+    const PivotedQrF ref = naive::pivoted_qr(to_f32(a), 1e-4);
+    EXPECT_LE(std::abs(t.rank - ref.rank), 1) << m << "x" << n;
+  }
+}
+
+TEST(BlockedFormQ, MatchesReflectorByReflectorApplication) {
+  Rng rng(83);
+  const int m = 150, n = 120;
+  Matrix qr = Matrix::random(m, n, rng);
+  std::vector<double> tau;
+  householder_qr(qr, tau);
+  for (const int nref : {0, 1, 31, 45, 77, 120}) {
+    for (const int ncols : {nref, m}) {
+      const Matrix q = form_q(qr, tau, ncols, nref);
+      // Reference: H_0 ... H_{nref-1} applied to I(:, 0:ncols) one
+      // reflector at a time, last first.
+      Matrix ref(m, ncols);
+      for (int j = 0; j < ncols; ++j) ref(j, j) = 1.0;
+      for (int p = nref - 1; p >= 0; --p)
+        for (int j = 0; j < ncols; ++j) {
+          double w = ref(p, j);
+          for (int i = p + 1; i < m; ++i) w += qr(i, p) * ref(i, j);
+          w *= tau[p];
+          ref(p, j) -= w;
+          for (int i = p + 1; i < m; ++i) ref(i, j) -= w * qr(i, p);
+        }
+      EXPECT_LT(max_abs_diff(q, ref), 1e-13)
+          << "nref=" << nref << " ncols=" << ncols;
+    }
+  }
+}
+
 TEST(Flops, BlockedKernelsReportSameAnalyticCountsAsBefore) {
   // The blocked paths must not double-count their internal gemms: public
   // entries report the analytic formula exactly once (fig10 accounting).
@@ -385,6 +547,17 @@ TEST(Flops, BlockedKernelsReportSameAnalyticCountsAsBefore) {
   flops::reset();
   householder_qr(qr, tau);
   EXPECT_EQ(flops::total(), flops::geqrf(n, n));
+
+  // form_q: 2 m ncols nref; pivoted_qr: column norms + geqrf + the full
+  // m x m form_q over its `rank` reflectors.
+  flops::reset();
+  (void)form_q(qr, tau, 70, 50);
+  EXPECT_EQ(flops::total(), 2ull * n * 70 * 50);
+  const Matrix wide = Matrix::random(n, 3 * n, rng);
+  flops::reset();
+  const PivotedQr f = pivoted_qr(wide, 1e-8);
+  EXPECT_EQ(flops::total(), 2ull * n * 3 * n + flops::geqrf(n, 3 * n) +
+                                2ull * n * n * f.rank);
 }
 
 }  // namespace
